@@ -170,11 +170,11 @@ inline double median_seconds(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Shared envelope of the BENCH_*.json throughput reports
-/// (event_queue_throughput, shard_throughput, grid_throughput): every file
-/// carries the same identification fields — name, workload-knob object,
-/// host_cores, nproc, reps — followed by one row object per measured
-/// setting, so tooling can diff any of them with the same reader.
+/// Shared envelope of the BENCH_*.json throughput reports (grid_throughput,
+/// serve_throughput): every file carries the same identification fields —
+/// name, workload-knob object, host_cores, nproc, reps — followed by one row
+/// object per measured setting, so tooling can diff any of them with the
+/// same reader.
 class ThroughputJsonWriter {
  public:
   /// `workload_fields` is the inner key/value list of the "workload" object

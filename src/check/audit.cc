@@ -17,16 +17,6 @@ void SimAuditor::record(Violation v) {
   }
 }
 
-void SimAuditor::absorb(const SimAuditor& other) {
-  evaluations_ += other.evaluations_;
-  violations_total_ += other.violations_total_;
-  absorbed_checks_ += other.num_checks();
-  for (const Violation& v : other.violations_) {
-    if (violations_.size() >= kMaxStoredViolations) break;
-    violations_.push_back(v);
-  }
-}
-
 void SimAuditor::finalize() {
   if (finalized_) return;
   finalized_ = true;

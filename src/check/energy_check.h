@@ -50,18 +50,6 @@ class DASCHED_OBSERVER_PASSIVE EnergyConservationCheck final
   [[nodiscard]] Joules ledger_total_j() const;
   [[nodiscard]] std::array<Joules, kNumDiskStates> ledger_by_state_j() const;
 
-  /// Appends a shard-local peer's per-disk ledgers (lanes audit disjoint
-  /// disk sets), so `cross_check_aggregate` covers the whole fleet after a
-  /// sharded run's per-lane checks merge.  Peers append in lane order and
-  /// each peer's vector keeps first-accrual order, so the sums stay
-  /// deterministic and shard-count invariant.
-  void absorb_ledgers(const EnergyConservationCheck& other) {
-    for (const auto& [disk, ledger] : other.ledgers_) {
-      ledger_index_.emplace(disk, ledgers_.size());
-      ledgers_.emplace_back(disk, ledger);
-    }
-  }
-
  private:
   struct Ledger {
     PowerModel model;

@@ -14,7 +14,6 @@
 #include "compiler/compile.h"
 #include "io/cluster.h"
 #include "power/policies.h"
-#include "sim/sharded_sim.h"
 #include "storage/storage_system.h"
 #include "telemetry/events.h"
 #include "util/histogram.h"
@@ -78,33 +77,12 @@ struct ExperimentConfig {
   /// buffer capacity is then the only limit on hoisting.
   Slot max_slack = 600;
 
-  /// Intra-run sharding (DESIGN.md §14).  0 = the classic serial engine
-  /// (bit-identical to every earlier release).  N >= 1 selects the sharded
-  /// engine with N worker threads over per-I/O-node event lanes; results
-  /// are bit-identical for every N (the conservative-lookahead protocol),
-  /// so `shards=1` is the serial reference the differential tests compare
-  /// against.  The sharded engine differs from the classic one only in the
-  /// stop instant: it stops at the end of the lookahead window containing
-  /// the last client finish (< one network latency of extra simulated
-  /// time), so its absolute energies differ from `shards=0` by that
-  /// bounded, deterministic tail.  Requires 1 <= shards <= num_io_nodes.
+  /// Must be 0: one run is one serial timeline on one Simulator.  Kept only
+  /// because the benchmark harness (perfbench/) sets and reads it; it goes
+  /// in the next benchmark revision.  validate_experiment_topology rejects
+  /// any other value with ConfigError("shards").
   int shards = 0;
-
-  /// Lane→worker placement for sharded runs (DESIGN.md §15.3).  A pure
-  /// wall-clock knob: results are bit-identical for either value (the
-  /// differential tests and the hexfloat probe enforce it), so the
-  /// LPT-balanced map is the default and round_robin remains for A/B runs.
-  LaneAssign lane_assign = LaneAssign::kBalanced;
 };
-
-/// The relative event-load weight of each lane (stream 0 = client layer,
-/// stream 1+i = I/O node i) that `LaneAssign::kBalanced` feeds to the LPT
-/// packer.  A pure function of the topology — the client lane carries every
-/// request's generation/routing/join events, a node lane carries the
-/// per-node cache/elevator/disk chain of its share of requests — so the
-/// lane→worker map stays reproducible across runs and hosts.
-[[nodiscard]] std::vector<double> default_lane_costs(const StorageConfig& storage,
-                                                     const WorkloadScale& scale);
 
 /// Topology-derived bound on concurrently outstanding events, used to
 /// pre-reserve the event queue and record pool (Simulator::reserve_events)
@@ -140,10 +118,9 @@ struct ExperimentResult {
 
 /// Validates the run topology: process/node counts must be positive (any
 /// size is accepted — the paper's 8-node/32-client evaluation cap is a
-/// default, not a limit), and a sharded run needs 1 <= shards <=
-/// num_io_nodes plus a positive network latency (the lookahead source).
-/// Throws ConfigError (a std::invalid_argument carrying the offending field
-/// name) with a specific message otherwise.  Called by run_experiment;
+/// default, not a limit), and `shards` must be 0.  Throws ConfigError (a
+/// std::invalid_argument carrying the offending field name) with a specific
+/// message otherwise.  Called by run_experiment;
 /// exposed for tools, the daemon, and tests.
 void validate_experiment_topology(const ExperimentConfig& cfg);
 

@@ -52,23 +52,6 @@ ExperimentWorkspace::~ExperimentWorkspace() {
   // now, but the stack is torn down here anyway.
 }
 
-ExperimentWorkspace::EngineKey ExperimentWorkspace::engine_key_of(
-    const ExperimentConfig& cfg) {
-  EngineKey key;
-  key.is_sharded = cfg.shards > 0;
-  if (key.is_sharded) {
-    key.shards = cfg.shards;
-    key.lane_assign = cfg.lane_assign;
-    key.num_io_nodes = cfg.storage.num_io_nodes;
-    key.lookahead = cfg.storage.network_latency;
-    key.num_processes = cfg.scale.num_processes;
-    key.num_disks = cfg.storage.node.num_disks;
-  }
-  // The classic engine's key stays all-default: one serial simulator serves
-  // any topology, growing its pools monotonically via reserve_events.
-  return key;
-}
-
 void ExperimentWorkspace::clear_all() {
   cluster_.reset();
   bound_compiled_ = nullptr;
@@ -76,19 +59,11 @@ void ExperimentWorkspace::clear_all() {
   observed_compile_.reset();
   storage_.reset();
   workload_key_.reset();
-  sharded_.reset();
-  serial_.reset();
-  engine_key_.reset();
+  sim_.reset();
 }
 
 void ExperimentWorkspace::detach_observers() {
-  if (sharded_ != nullptr) {
-    for (int s = 0; s < sharded_->num_streams(); ++s) {
-      sharded_->lane(s).set_observer(nullptr);
-    }
-  } else if (serial_ != nullptr) {
-    serial_->set_observer(nullptr);
-  }
+  if (sim_ != nullptr) sim_->set_observer(nullptr);
   if (!storage_.has_value()) return;
   storage_->set_observer(nullptr);
   for (int i = 0; i < storage_->num_io_nodes(); ++i) {
@@ -110,56 +85,23 @@ void ExperimentWorkspace::prepare(const ExperimentConfig& cfg) {
     in_run_ = false;
   }
 
-  const EngineKey key = engine_key_of(cfg);
-  if (!engine_key_.has_value() || !(*engine_key_ == key)) {
-    // Everything holding references into the old engine dies with it.
-    cluster_.reset();
-    bound_compiled_ = nullptr;
-    storage_.reset();
-    workload_key_.reset();  // the striping map died with the storage system
-    sharded_.reset();
-    serial_.reset();
-    if (key.is_sharded) {
-      ShardedSimConfig scfg;
-      scfg.num_streams = 1 + cfg.storage.num_io_nodes;
-      scfg.shards = cfg.shards;
-      scfg.lookahead = cfg.storage.network_latency;
-      scfg.lane_assign = cfg.lane_assign;
-      scfg.lane_costs = default_lane_costs(cfg.storage, cfg.scale);
-      // dasched-lint: allow(hot-alloc): engine rebuild, topology change only
-      sharded_ = std::make_unique<ShardedSimulator>(scfg);
-    } else {
-      // dasched-lint: allow(hot-alloc): engine rebuild, topology change only
-      serial_ = std::make_unique<Simulator>();
-    }
-    engine_key_ = key;
+  if (sim_ == nullptr) {
+    // dasched-lint: allow(hot-alloc): first run / post-poison construction
+    sim_ = std::make_unique<Simulator>();
     ++engine_rebuilds_;
-  } else if (sharded_ != nullptr) {
-    sharded_->reset();
   } else {
-    serial_->reset();
+    sim_->reset();
   }
-  // Grow-only and idempotent, so the classic engine can serve a bigger
-  // topology without a rebuild (capacity high-water-mark policy).
-  const std::size_t reserve = default_event_reserve(cfg.storage, cfg.scale);
-  if (sharded_ != nullptr) {
-    for (int s = 0; s < sharded_->num_streams(); ++s) {
-      sharded_->lane(s).reserve_events(reserve);
-    }
-  } else {
-    serial_->reserve_events(reserve);
-  }
+  // Grow-only and idempotent, so the engine can serve a bigger topology
+  // without a rebuild (capacity high-water-mark policy).
+  sim_->reserve_events(default_event_reserve(cfg.storage, cfg.scale));
 
   StorageConfig storage_cfg = cfg.storage;  // all scalars; no allocation
   storage_cfg.node.policy = cfg.policy;
   storage_cfg.node.policy_cfg = cfg.policy_cfg;
   storage_cfg.seed = cfg.seed;
   if (!storage_.has_value()) {
-    if (sharded_ != nullptr) {
-      storage_.emplace(*sharded_, storage_cfg);
-    } else {
-      storage_.emplace(*serial_, storage_cfg);
-    }
+    storage_.emplace(*sim_, storage_cfg);
     workload_key_.reset();
   } else {
     storage_->reset(storage_cfg);
@@ -259,8 +201,7 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
     const ExperimentConfig& cfg, SimAuditor* auditor) {
   prepare(cfg);
   in_run_ = true;  // cleared on success; a throw leaves it set -> poison
-  const bool is_sharded = cfg.shards > 0;
-  Simulator& sim = is_sharded ? sharded_->lane(0) : *serial_;
+  Simulator& sim = *sim_;
   StorageSystem& storage = *storage_;
 
   // Per-run observers (audit checks, telemetry recorders) die at the end of
@@ -272,39 +213,20 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   } detach_guard{this};
 
   // Hook the auditor in before anything can schedule an event, so the
-  // event-queue ledger sees the complete history.  A sharded run gets one
-  // auditor per lane (merged after the workers stop) so every check stays
-  // on its lane's thread.
+  // event-queue ledger sees the complete history.
   InstalledChecks checks;
-  ShardedAuditLanes audit_lanes;
   if (auditor != nullptr) {
-    if (is_sharded) {
-      install_audit_sharded(audit_lanes, *sharded_, storage, cfg.policy,
-                            cfg.policy_cfg);
-    } else {
-      checks =
-          install_audit(*auditor, sim, storage, cfg.policy, cfg.policy_cfg);
-    }
+    checks = install_audit(*auditor, sim, storage, cfg.policy, cfg.policy_cfg);
   }
 
   // The telemetry recorder attaches beside the audit checks (every layer
-  // multiplexes observers) and is strictly passive.  Sharded runs record
-  // one trace per lane and merge them deterministically after the run.
+  // multiplexes observers) and is strictly passive.
   std::unique_ptr<TelemetryRecorder> recorder;
-  std::vector<std::unique_ptr<TelemetryRecorder>> lane_recorders;
-  TelemetryRecorder* client_recorder = nullptr;
   if (cfg.telemetry.enabled()) {
-    if (is_sharded) {
-      install_telemetry_sharded(lane_recorders, cfg.telemetry.level, *sharded_,
-                                storage);
-      client_recorder = lane_recorders[0].get();
-    } else {
-      // dasched-lint: allow(hot-alloc): telemetry runs opt into recording
-      recorder = std::make_unique<TelemetryRecorder>(cfg.telemetry.level);
-      install_telemetry(*recorder, sim, storage);
-      client_recorder = recorder.get();
-    }
-    TraceMeta& meta = client_recorder->meta();
+    // dasched-lint: allow(hot-alloc): telemetry runs opt into recording
+    recorder = std::make_unique<TelemetryRecorder>(cfg.telemetry.level);
+    install_telemetry(*recorder, sim, storage);
+    TraceMeta& meta = recorder->meta();
     meta.app = cfg.app;
     meta.policy = static_cast<int>(cfg.policy);
     meta.scheme = cfg.use_scheme;
@@ -315,9 +237,8 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   copts.enable_scheduling = cfg.use_scheme;
   copts.slack.length_unit = app.length_unit;
   copts.slack.max_slack = cfg.max_slack;
-  if (client_recorder != nullptr &&
-      client_recorder->level() >= TraceLevel::kFull) {
-    copts.sched_observer = client_recorder;
+  if (recorder != nullptr && recorder->level() >= TraceLevel::kFull) {
+    copts.sched_observer = recorder.get();
   }
   const Compiled& compiled = obtain_compiled(copts);
   if (auditor != nullptr) {
@@ -336,17 +257,8 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
 
   // Run until the application completes; power-policy timers may keep the
   // event queue alive past that point, and accounting must stop at the
-  // application's end (the paper's energies cover program execution).  The
-  // sharded engine checks the stop predicate at window barriers, so it
-  // stops at the end of the window containing the last finish — a bounded
-  // (< lookahead), deterministic tail shared by every shard count.
-  if (is_sharded) {
-    cluster_->start();
-    Cluster& cluster = *cluster_;
-    sharded_->run([&cluster] { return cluster.all_finished(); });
-  } else {
-    cluster_->run_to_completion();
-  }
+  // application's end (the paper's energies cover program execution).
+  cluster_->run_to_completion();
 
   if (!cluster_->all_finished()) {
     // dasched-lint: allow(hot-alloc): fatal-error path, never on success
@@ -362,41 +274,26 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
   result_.energy_j = result_.storage.energy_j;
   result_.runtime = cluster_->stats();
   result_.sched = compiled.sched_stats;
-  result_.events =
-      is_sharded ? sharded_->events_executed() : sim.events_executed();
+  result_.events = sim.events_executed();
   result_.audited = false;
   result_.audit_violations = 0;
   result_.telemetry = nullptr;
 
-  if (client_recorder != nullptr) {
+  if (recorder != nullptr) {
     // finalize() above fired the trailing accruals, so the trace now tiles
     // every disk's timeline completely.
-    client_recorder->meta().end_time = sim.now();
-    TraceBuffer merged;
-    const TraceBuffer* buffer = &client_recorder->buffer();
-    if (is_sharded) {
-      std::vector<const TraceBuffer*> lanes;
-      // dasched-lint: allow(hot-alloc): telemetry merge, opt-in runs only
-      lanes.reserve(lane_recorders.size());
-      // dasched-lint: allow(hot-alloc): telemetry merge, opt-in runs only
-      for (const auto& r : lane_recorders) lanes.push_back(&r->buffer());
-      merge_traces(lanes, merged);
-      buffer = &merged;
-    }
+    recorder->meta().end_time = sim.now();
     // dasched-lint: allow(hot-alloc): telemetry summary, opt-in runs only
     auto summary = std::make_shared<TelemetrySummary>(
         // dasched-lint: allow(hot-alloc): telemetry analysis, opt-in only
-        analyze_trace(*buffer, client_recorder->meta()));
+        analyze_trace(recorder->buffer(), recorder->meta()));
 
     // Reconcile the energy-by-state breakdown against the scalar total.
     // Under an auditor this extends the energy-conservation invariant;
     // without one a divergence is a fatal telemetry bug.
-    EnergyConservationCheck* energy_check =
-        is_sharded ? audit_lanes.energy : checks.energy;
-    if (energy_check != nullptr) {
-      if (is_sharded) merge_sharded_ledgers(audit_lanes);
-      energy_check->cross_check_aggregate(summary->energy_by_state_j,
-                                          result_.energy_j, sim.now());
+    if (checks.energy != nullptr) {
+      checks.energy->cross_check_aggregate(summary->energy_by_state_j,
+                                           result_.energy_j, sim.now());
     }
     const double scale = std::max(std::fabs(result_.energy_j.value()), 1.0);
     if (std::fabs((summary->energy_total_j - result_.energy_j).value()) >
@@ -410,14 +307,13 @@ const ExperimentResult& ExperimentWorkspace::run_impl(
     }
 
     if (!cfg.telemetry.dir.empty()) {
-      write_telemetry_artifacts(cfg.telemetry.dir, *buffer,
-                                client_recorder->meta(), *summary);
+      write_telemetry_artifacts(cfg.telemetry.dir, recorder->buffer(),
+                                recorder->meta(), *summary);
     }
     result_.telemetry = std::move(summary);
   }
 
   if (auditor != nullptr) {
-    if (is_sharded) finalize_audit_sharded(audit_lanes, *auditor);
     auditor->finalize();
     result_.audited = true;
     result_.audit_violations = auditor->violations_total();

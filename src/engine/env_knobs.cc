@@ -60,8 +60,6 @@ std::string env_string(const char* name, const char* fallback) {
   return v == nullptr ? fallback : v;
 }
 
-int shards_from_env(int fallback) { return env_int("DASCHED_SHARDS", fallback); }
-
 bool workspace_from_env(bool fallback) {
   const char* v = std::getenv("DASCHED_WORKSPACE");
   if (v == nullptr) return fallback;

@@ -27,12 +27,6 @@ namespace dasched {
 /// Raw environment lookup; `fallback` when unset (any set value is valid).
 [[nodiscard]] std::string env_string(const char* name, const char* fallback);
 
-/// Shard count from DASCHED_SHARDS (`fallback` when unset).  The strict
-/// integer parse of env_int applies; range validation (0 = classic serial,
-/// 1..num_io_nodes = sharded) is validate_experiment_topology's job, so a
-/// bad count still names the topology it conflicts with.
-[[nodiscard]] int shards_from_env(int fallback);
-
 /// Workspace reuse from DASCHED_WORKSPACE: "on" (the default — grid workers
 /// reuse a warm per-worker ExperimentWorkspace across cells), "off" (legacy
 /// fresh-per-cell construction; the A/B baseline for bench/grid_throughput).

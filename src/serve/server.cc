@@ -144,6 +144,9 @@ void TenantSession::resolve_app() {
 bool TenantSession::handle_run(std::string_view payload, Sink& sink) {
   parse_run_request(payload, req_);
   resolve_app();
+  // Same rule as handle_grid; req_.config is rebuilt by every parse, so
+  // folding the flag in place costs no copy.
+  req_.config.audit = req_.config.audit || req_.audit;
   const ExperimentResult& r = ws_.run(req_.config);
   out_.clear();
   static const CellHeader kNoCell{};
@@ -275,13 +278,20 @@ void ServeServer::start() {
 
 void ServeServer::request_shutdown() {
   if (stop_.exchange(true)) return;
-  listener_.close();  // wakes the accept loop
+  // Wake, never close: the accept loop may be polling the listening fd
+  // right now.  wait() closes it after joining the acceptor; the mutex
+  // orders this wake before that close.
   std::lock_guard<std::mutex> lock(conns_mutex_);
+  listener_.wake();
   for (Conn& c : conns_) c.sock.shutdown_both();
 }
 
 void ServeServer::wait() {
   if (acceptor_.joinable()) acceptor_.join();
+  {
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    listener_.close();
+  }
   reap(/*all=*/true);
 }
 

@@ -210,6 +210,10 @@ Socket Listener::accept(int timeout_ms) {
   return Socket{fd};
 }
 
+void Listener::wake() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (fd_ >= 0) {
     ::close(fd_);

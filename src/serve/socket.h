@@ -67,11 +67,19 @@ class Listener {
   /// Binds and listens; throws std::runtime_error with errno context.
   static Listener open(const std::string& address);
 
-  /// Accepts one connection; invalid Socket on timeout or after close().
+  /// Accepts one connection; invalid Socket on timeout, after wake() or
+  /// after close().
   [[nodiscard]] Socket accept(int timeout_ms);
 
-  /// Closes the listening fd (waking a blocked accept) and, for unix
-  /// sockets, unlinks the path.
+  /// Wakes a thread blocked in accept() without closing the fd: shutdown(2)
+  /// on the listening socket makes it readable and every later accept
+  /// fails at once.  Only reads the fd, so it may run concurrently with
+  /// accept(); close() must not overlap either.
+  void wake();
+
+  /// Closes the listening fd and, for unix sockets, unlinks the path.  Not
+  /// safe against a concurrent accept() or wake(): the owner calls it once
+  /// the accepting thread has been joined.
   void close();
 
   [[nodiscard]] bool valid() const { return fd_ >= 0; }

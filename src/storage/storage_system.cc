@@ -1,7 +1,5 @@
 #include "storage/storage_system.h"
 
-#include <cassert>
-
 #include "util/rng.h"
 
 namespace dasched {
@@ -13,25 +11,14 @@ StorageSystem::StorageSystem(Simulator& sim, StorageConfig cfg)
   build_nodes();
 }
 
-StorageSystem::StorageSystem(ShardedSimulator& sharded, StorageConfig cfg)
-    : sim_(sharded.lane(0)),
-      sharded_(&sharded),
-      cfg_(cfg),
-      striping_(cfg.num_io_nodes, cfg.stripe_size) {
-  assert(sharded.num_streams() >= 1 + cfg_.num_io_nodes &&
-         "sharded simulator needs one lane per I/O node plus the client lane");
-  build_nodes();
-}
-
 void StorageSystem::build_nodes() {
   // Multi-speed hardware is implied by the chosen policy.
   cfg_.node.disk.multi_speed = needs_multi_speed(cfg_.node.policy);
   cfg_.node.chunk_size = cfg_.stripe_size;
   cfg_.node.cache_block_size = cfg_.stripe_size;
   for (int i = 0; i < cfg_.num_io_nodes; ++i) {
-    Simulator& node_sim = sharded_ == nullptr ? sim_ : sharded_->lane(1 + i);
     nodes_.push_back(std::make_unique<IoNode>(
-        node_sim, cfg_.node, i,
+        sim_, cfg_.node, i,
         derive_seed(cfg_.seed, static_cast<std::uint64_t>(i))));
   }
 }
@@ -58,21 +45,13 @@ void StorageSystem::route(FileId f, Bytes offset, Bytes size, bool is_write,
                              (cfg_.network_mb_per_sec * 1e6) *
                              static_cast<double>(kUsecPerSec));
     IoNode* node = nodes_[static_cast<std::size_t>(piece.io_node)].get();
-    // The request hop runs on the node's lane; the response hop back to the
-    // client (and the join arrival, which touches client-lane state only)
-    // crosses back through the mailboxes.  On the classic path both hops are
-    // plain local schedules.  All captures stay within EventFn's inline
-    // buffer.
+    // The request hop delivers the piece to its node; the response hop
+    // carries the completion back to the join.  All captures stay within
+    // EventFn's inline buffer.
     EventFn deliver = [this, node, piece, is_write, background, join] {
-      auto respond = [this, join, stream = 1 + piece.io_node] {
-        if (sharded_ == nullptr) {
-          sim_.schedule_after(cfg_.network_latency,
-                              [this, join] { join_pool_.arrive(join); });
-        } else {
-          const SimTime t = sharded_->lane(stream).now() + cfg_.network_latency;
-          sharded_->post(stream, 0, t,
-                         [this, join] { join_pool_.arrive(join); });
-        }
+      auto respond = [this, join] {
+        sim_.schedule_after(cfg_.network_latency,
+                            [this, join] { join_pool_.arrive(join); });
       };
       if (is_write) {
         node->write(piece.node_offset, piece.length, respond);
@@ -80,12 +59,7 @@ void StorageSystem::route(FileId f, Bytes offset, Bytes size, bool is_write,
         node->read(piece.node_offset, piece.length, respond, background);
       }
     };
-    if (sharded_ == nullptr) {
-      sim_.schedule_after(wire, std::move(deliver));
-    } else {
-      sharded_->post(0, 1 + piece.io_node, sim_.now() + wire,
-                     std::move(deliver));
-    }
+    sim_.schedule_after(wire, std::move(deliver));
   }
   join_pool_.arrive(join);
 }

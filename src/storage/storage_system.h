@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/sharded_sim.h"
 #include "sim/simulator.h"
 #include "storage/io_node.h"
 #include "storage/striping.h"
@@ -68,12 +67,6 @@ struct StorageStats {
 class StorageSystem {
  public:
   StorageSystem(Simulator& sim, StorageConfig cfg);
-
-  /// Sharded construction: client-side routing lives on lane 0, I/O node i
-  /// (with its disks and policies) on lane 1+i, and the network hops cross
-  /// lanes through the sharded simulator's mailboxes.  `sharded` must have
-  /// `1 + num_io_nodes` streams.
-  StorageSystem(ShardedSimulator& sharded, StorageConfig cfg);
 
   StorageSystem(const StorageSystem&) = delete;
   StorageSystem& operator=(const StorageSystem&) = delete;
@@ -135,8 +128,7 @@ class StorageSystem {
   void route(FileId f, Bytes offset, Bytes size, bool is_write,
              bool background, EventFn done);
 
-  Simulator& sim_;  // the client-side lane (lane 0 when sharded)
-  ShardedSimulator* sharded_ = nullptr;  // null on the classic serial path
+  Simulator& sim_;
   StorageConfig cfg_;
   StripingMap striping_;
   ObserverList<StorageObserver> observers_;

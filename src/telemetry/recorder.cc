@@ -190,28 +190,6 @@ void TelemetryRecorder::on_request_routed(FileId f, Bytes offset, Bytes size,
          static_cast<std::uint64_t>(size.count()));
 }
 
-void merge_traces(std::span<const TraceBuffer* const> lanes, TraceBuffer& out) {
-  out.clear();
-  std::size_t total = 0;
-  for (const TraceBuffer* lane : lanes) total += lane->size();
-  out.reserve(total);
-  // Linear-scan k-way merge: the lane count (1 + I/O nodes) is small next
-  // to the event count, and per-lane traces are already time-ordered.
-  std::vector<std::size_t> cursor(lanes.size(), 0);
-  for (std::size_t done = 0; done < total; ++done) {
-    std::size_t best = lanes.size();
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      if (cursor[l] >= lanes[l]->size()) continue;
-      if (best == lanes.size() ||
-          (*lanes[l])[cursor[l]].time < (*lanes[best])[cursor[best]].time) {
-        best = l;  // strict < keeps ties on the lowest lane index
-      }
-    }
-    out.append((*lanes[best])[cursor[best]]);
-    ++cursor[best];
-  }
-}
-
 void TelemetryRecorder::on_access_placed(const AccessRecord& rec, Slot slot,
                                          bool forced, bool theta_fallback) {
   if (!wants(TraceLevel::kFull)) return;

@@ -11,8 +11,7 @@
 //
 // engine/env_knobs keeps its std::string front end (and the historic
 // strtod/strtoll semantics) for the knob helpers; the fatal-error print
-// shared by every strict knob lives here so sharded_sim.cc and
-// ladder_queue.cc no longer duplicate it below the engine library.
+// shared by every strict knob and CLI flag lives here.
 #pragma once
 
 #include <charconv>

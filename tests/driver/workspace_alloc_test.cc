@@ -11,9 +11,7 @@
 // fails here, not as a silent grid-throughput regression.
 //
 // Scope: plain runs (no audit, no telemetry — those install per-run
-// observer objects by design) on the classic engine and on the sharded
-// engine at shards=1 (its barrier-free inline path; shards>1 spawns worker
-// threads per run, an inherent allocation).
+// observer objects by design).
 
 #include <gtest/gtest.h>
 
@@ -91,14 +89,13 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace dasched {
 namespace {
 
-ExperimentConfig small_cell(int shards) {
+ExperimentConfig small_cell() {
   ExperimentConfig cfg;
   cfg.app = "sar";
   cfg.scale.num_processes = 4;
   cfg.scale.factor = 0.1;
   cfg.policy = PolicyKind::kHistory;
   cfg.use_scheme = true;
-  cfg.shards = shards;
   return cfg;
 }
 
@@ -127,11 +124,7 @@ void expect_zero_alloc_reuse(const ExperimentConfig& cfg) {
 }
 
 TEST(WorkspaceAlloc, ClassicEngineReuseAllocatesNothing) {
-  expect_zero_alloc_reuse(small_cell(/*shards=*/0));
-}
-
-TEST(WorkspaceAlloc, ShardedEngineReuseAllocatesNothing) {
-  expect_zero_alloc_reuse(small_cell(/*shards=*/1));
+  expect_zero_alloc_reuse(small_cell());
 }
 
 TEST(WorkspaceAlloc, ScaleGrowthReallocatesOnceThenNothing) {
@@ -139,7 +132,7 @@ TEST(WorkspaceAlloc, ScaleGrowthReallocatesOnceThenNothing) {
   // change, so the first bigger run rebuilds the trace and grows every pool
   // to the new high-water mark — and after that single growth run, repeat
   // runs at the bigger size are as allocation-free as the small ones were.
-  ExperimentConfig small = small_cell(/*shards=*/0);
+  ExperimentConfig small = small_cell();
   ExperimentConfig big = small;
   big.scale.num_processes = 8;
 

@@ -20,15 +20,13 @@
 namespace dasched {
 namespace {
 
-ExperimentConfig cell(const char* app, PolicyKind policy, bool scheme,
-                      int shards = 0) {
+ExperimentConfig cell(const char* app, PolicyKind policy, bool scheme) {
   ExperimentConfig cfg;
   cfg.app = app;
   cfg.scale.num_processes = 4;
   cfg.scale.factor = 0.1;
   cfg.policy = policy;
   cfg.use_scheme = scheme;
-  cfg.shards = shards;
   return cfg;
 }
 
@@ -134,39 +132,20 @@ TEST(WorkspaceDifferential, ClassicEngineCellsMatchFreshRuns) {
       cell("madbench2", PolicyKind::kSimple, false),
       cell("madbench2", PolicyKind::kSimple, true),
       cell("hf", PolicyKind::kNone, true),
-  });
-}
-
-TEST(WorkspaceDifferential, ShardedEngineCellsMatchFreshRuns) {
-  check_cells({
-      cell("sar", PolicyKind::kHistory, true, /*shards=*/1),
-      cell("madbench2", PolicyKind::kSimple, false, /*shards=*/1),
-      cell("hf", PolicyKind::kStaggered, true, /*shards=*/1),
-  });
-}
-
-TEST(WorkspaceDifferential, EngineSwitchMidSequenceMatchesFreshRuns) {
-  // Classic -> sharded -> classic through one workspace: each switch
-  // rebuilds the engine, and the rebuilt stack must be as clean as a fresh
-  // one.
-  check_cells({
-      cell("sar", PolicyKind::kHistory, true, /*shards=*/0),
-      cell("sar", PolicyKind::kHistory, true, /*shards=*/1),
-      cell("sar", PolicyKind::kHistory, true, /*shards=*/0),
+      cell("hf", PolicyKind::kStaggered, true),
   });
 }
 
 TEST(WorkspaceDifferential, ReuseUnderAuditMatchesFreshRuns) {
-  auto audited = [](const char* app, PolicyKind policy, bool scheme,
-                    int shards) {
-    ExperimentConfig cfg = cell(app, policy, scheme, shards);
+  auto audited = [](const char* app, PolicyKind policy, bool scheme) {
+    ExperimentConfig cfg = cell(app, policy, scheme);
     cfg.audit = true;
     return cfg;
   };
   check_cells({
-      audited("sar", PolicyKind::kHistory, true, 0),
-      audited("madbench2", PolicyKind::kSimple, false, 0),
-      audited("sar", PolicyKind::kHistory, true, 1),
+      audited("sar", PolicyKind::kHistory, true),
+      audited("madbench2", PolicyKind::kSimple, false),
+      audited("hf", PolicyKind::kStaggered, true),
   });
 }
 

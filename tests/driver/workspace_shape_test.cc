@@ -3,11 +3,11 @@
 // The differential tests pin "reuse == fresh" for a fixed topology; these
 // pin the *rebuild decisions*: a topology change rebuilds exactly the
 // components whose shape changed (and the rebuilt stack matches fresh
-// construction), an engine switch rebuilds the engine, and a run that threw
-// mid-flight poisons the workspace so the next run rebuilds from scratch
-// instead of trusting half-mutated state.  Plus the grid-level knob: a grid
-// run with workspace reuse on must be bit-identical to the legacy
-// fresh-per-cell path.
+// construction), the engine is built once per workspace, and a run that
+// threw mid-flight poisons the workspace so the next run rebuilds from
+// scratch instead of trusting half-mutated state.  Plus the grid-level knob:
+// a grid run with workspace reuse on must be bit-identical to the legacy
+// fresh-per-cell path, and the topology validator that guards every run.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -54,8 +54,8 @@ TEST(WorkspaceShape, NodeCountChangeRebuildsCleanly) {
   ExperimentWorkspace ws;
   expect_matches_fresh(ws, cfg);
 
-  // Topology change: more I/O nodes.  The classic engine survives (its key
-  // is shape-independent); storage and workload rebuild.
+  // Topology change: more I/O nodes.  The engine survives (it is
+  // shape-independent); storage and workload rebuild.
   cfg.storage.num_io_nodes = 4;
   expect_matches_fresh(ws, cfg);
   EXPECT_EQ(ws.engine_rebuilds(), 1u);
@@ -84,30 +84,12 @@ TEST(WorkspaceShape, DiskAndPolicyChangesResetInPlace) {
       << "none of these shapes should touch the engine";
 }
 
-TEST(WorkspaceShape, EngineSwitchRebuildsEngine) {
-  ExperimentConfig classic = base_cell();
-  ExperimentConfig sharded = classic;
-  sharded.shards = 1;
-
-  ExperimentWorkspace ws;
-  expect_matches_fresh(ws, classic);
-  EXPECT_EQ(ws.engine_rebuilds(), 1u);
-  expect_matches_fresh(ws, sharded);
-  EXPECT_EQ(ws.engine_rebuilds(), 2u);
-  expect_matches_fresh(ws, classic);
-  EXPECT_EQ(ws.engine_rebuilds(), 3u);
-  // Same sharded shape twice in a row does NOT rebuild again.
-  expect_matches_fresh(ws, sharded);
-  expect_matches_fresh(ws, sharded);
-  EXPECT_EQ(ws.engine_rebuilds(), 4u);
-}
-
 TEST(WorkspaceShape, InvalidTopologyRejectedWithoutPoisoning) {
   ExperimentWorkspace ws;
   expect_matches_fresh(ws, base_cell());
 
   ExperimentConfig bad = base_cell();
-  bad.shards = 99;  // > num_io_nodes
+  bad.storage.num_io_nodes = 0;
   EXPECT_THROW((void)ws.run(bad), std::invalid_argument);
   // Validation fails before any component is touched: not poisoned, and the
   // warm stack keeps producing exact results.
@@ -135,10 +117,14 @@ TEST(WorkspaceShape, MidRunThrowPoisonsThenRecovers) {
   EXPECT_THROW((void)ws.run(traced), std::exception);
   EXPECT_TRUE(ws.poisoned());
 
-  // The next run detects the poison, rebuilds from scratch, and is exact.
+  // The next run detects the poison, rebuilds from scratch (engine
+  // included), and is exact.
+  EXPECT_EQ(ws.engine_rebuilds(), 1u);
   expect_matches_fresh(ws, cfg);
   EXPECT_FALSE(ws.poisoned());
+  EXPECT_EQ(ws.engine_rebuilds(), 2u);
   expect_matches_fresh(ws, cfg);
+  EXPECT_EQ(ws.engine_rebuilds(), 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -168,6 +154,40 @@ TEST(WorkspaceShape, GridWorkspaceKnobIsBitIdentical) {
     expect_bits(a.storage.cache_hit_rate, b.storage.cache_hit_rate,
                 "cache_hit_rate");
     EXPECT_EQ(a.events, b.events);
+  }
+}
+
+TEST(ShardTopologyValidation, RejectsDegenerateTopologies) {
+  ExperimentConfig cfg = base_cell();
+  cfg.scale.num_processes = 0;
+  EXPECT_THROW(validate_experiment_topology(cfg), std::invalid_argument);
+
+  cfg = base_cell();
+  cfg.storage.num_io_nodes = 0;
+  EXPECT_THROW(validate_experiment_topology(cfg), std::invalid_argument);
+}
+
+TEST(ShardTopologyValidation, AcceptsTopologiesBeyondThePaperCap) {
+  // >8 nodes and >32 clients are first-class configurations; the validator
+  // only rejects genuinely inconsistent combinations.
+  ExperimentConfig cfg = base_cell();
+  cfg.scale.num_processes = 512;
+  cfg.storage.num_io_nodes = 64;
+  EXPECT_NO_THROW(validate_experiment_topology(cfg));
+}
+
+TEST(ShardTopologyValidation, RejectsAnyShardCountButZero) {
+  // There is one serial engine; the retained field must stay 0.
+  for (const int shards : {1, 4, -1}) {
+    ExperimentConfig cfg = base_cell();
+    cfg.shards = shards;
+    try {
+      validate_experiment_topology(cfg);
+      FAIL() << "shards=" << shards << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), "shards");
+    }
+    EXPECT_THROW((void)run_experiment(cfg), ConfigError);
   }
 }
 

@@ -52,14 +52,6 @@ TEST(EnvKnobs, ReadsSetValues) {
   ::unsetenv("DASCHED_TEST_KNOB");
 }
 
-TEST(EnvKnobs, ShardsFromEnv) {
-  ::unsetenv("DASCHED_SHARDS");
-  EXPECT_EQ(shards_from_env(0), 0);
-  ::setenv("DASCHED_SHARDS", "4", 1);
-  EXPECT_EQ(shards_from_env(0), 4);
-  ::unsetenv("DASCHED_SHARDS");
-}
-
 TEST(EnvKnobs, WorkspaceFromEnv) {
   ::unsetenv("DASCHED_WORKSPACE");
   EXPECT_TRUE(workspace_from_env(true));

@@ -96,12 +96,12 @@ TEST(ExperimentGrid, SweepAxisAppliesToConfig) {
   EXPECT_EQ(grid.cells()[0].config.storage.node.cache_capacity, mib(32));
   grid.sweep = sweep_axis_by_name("buffer_mib", {64});
   EXPECT_EQ(grid.cells()[0].config.runtime.buffer_capacity, mib(64));
-  grid.sweep = sweep_axis_by_name("shards", {4});
-  EXPECT_EQ(grid.cells()[0].config.shards, 4);
 }
 
 TEST(ExperimentGrid, UnknownSweepAxisThrows) {
   EXPECT_THROW((void)sweep_axis_by_name("warp", {1}), std::invalid_argument);
+  // `shards` was the removed sharded engine's axis.
+  EXPECT_THROW((void)sweep_axis_by_name("shards", {1}), std::invalid_argument);
 }
 
 TEST(ExperimentGrid, EmptyAxisThrows) {

@@ -54,8 +54,6 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   cfg.storage.num_io_nodes = 5;
   cfg.compile.sched.delta = 17;
   cfg.compile.sched.theta = 3;
-  cfg.shards = 2;
-  cfg.lane_assign = LaneAssign::kRoundRobin;
   cfg.max_slack = 123;
   cfg.scale.factor = 0.3;
 
@@ -76,8 +74,7 @@ TEST(ServeProtocol, RunRequestRoundTrips) {
   EXPECT_EQ(req.config.policy, PolicyKind::kHistory);
   EXPECT_EQ(req.config.storage.num_io_nodes, 5);
   EXPECT_EQ(req.config.compile.sched.delta, 17);
-  EXPECT_EQ(req.config.shards, 2);
-  EXPECT_EQ(req.config.lane_assign, LaneAssign::kRoundRobin);
+  EXPECT_EQ(req.config.max_slack, 123);
   EXPECT_EQ(req.config.seed, 7u);
   // scale.factor crosses as %.17g — bit-exact for doubles.
   EXPECT_EQ(std::bit_cast<std::uint64_t>(req.config.scale.factor),
@@ -88,27 +85,30 @@ TEST(ServeProtocol, RunRequestParseReusesConfigAndResets) {
   RunRequest req;
   std::string text;
   ExperimentConfig cfg = small_cfg();
-  cfg.shards = 3;
+  cfg.runtime.buffer_capacity = mib(32);
   format_run_request(cfg, false, text);
   parse_run_request(text, req);
-  ASSERT_EQ(req.config.shards, 3);
+  ASSERT_EQ(req.config.runtime.buffer_capacity, mib(32));
 
-  // A second parse without shards= must reset to defaults, not inherit the
-  // previous request's value (the config object is reused for allocation
-  // reasons, never for state).
-  ExperimentConfig plain = small_cfg();
-  format_run_request(plain, false, text);
-  parse_run_request(text, req);
-  EXPECT_EQ(req.config.shards, 0);
+  // A second parse without buffer_mib= must reset to defaults, not inherit
+  // the previous request's value (the config object is reused for
+  // allocation reasons, never for state).
+  parse_run_request("app=sar\n", req);
+  EXPECT_EQ(req.config.runtime.buffer_capacity,
+            ExperimentConfig{}.runtime.buffer_capacity);
 }
 
 TEST(ServeProtocol, UnknownKeyAndBadValueThrowConfigErrorWithField) {
   RunRequest req;
-  try {
-    parse_run_request("app=sar\nbogus_knob=1\n", req);
-    FAIL() << "unknown key accepted";
-  } catch (const ConfigError& e) {
-    EXPECT_EQ(e.field(), "bogus_knob");
+  // shards= and lane_assign= belonged to the removed sharded engine; old
+  // clients that still send them get the same structured error.
+  for (const char* key : {"bogus_knob", "shards", "lane_assign"}) {
+    try {
+      parse_run_request("app=sar\n" + std::string(key) + "=1\n", req);
+      FAIL() << "unknown key accepted: " << key;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), key);
+    }
   }
   try {
     parse_run_request("app=sar\nprocs=notanumber\n", req);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -76,6 +77,26 @@ TEST(ServeE2E, SingleTenantMatchesInProcessBitExactly) {
   // Second request on the warm workspace: still bit-identical.
   client.run(cfg, false, reply);
   EXPECT_EQ(wire_bytes(reply.result), want);
+}
+
+TEST(ServeE2E, RunWithAuditFlagIsAudited) {
+  // audit=1 on a kRun must audit the run, as it does for a kGrid, and must
+  // not move a result bit.
+  ExperimentConfig cfg = small_cfg();
+  cfg.audit = false;
+  ExperimentWorkspace ws;
+  const ExperimentResult& plain = ws.run(cfg);
+
+  TestServer ts;
+  ServeClient client = ServeClient::connect(ts.server->address());
+  ServeClient::Reply reply;
+  client.run(cfg, /*audit=*/true, reply);
+  EXPECT_TRUE(reply.result.audited);
+  EXPECT_EQ(reply.result.audit_violations, 0);
+  EXPECT_EQ(reply.result.exec_time.count(), plain.exec_time.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reply.result.energy_j.value()),
+            std::bit_cast<std::uint64_t>(plain.energy_j.value()));
+  EXPECT_EQ(reply.result.events, plain.events);
 }
 
 TEST(ServeE2E, FourConcurrentTenantsAreBitIdentical) {

@@ -1,13 +1,12 @@
-// Zero-allocation regression test for the classic event engine.
+// Zero-allocation regression test for the event engine.
 //
 // Mirrors tests/storage/alloc_count_test.cc: global operator new/delete are
 // replaced with counting versions gated by a flag.  `reserve_events` is
 // given a bound on concurrently outstanding events — exactly what the
 // driver derives from the topology (driver/experiment.cc
 // default_event_reserve) — after which EVERY schedule/run cycle must be
-// allocation-free, for both queue kinds: the pooled records, the free list,
-// the heap vector, the ladder's bottom ring, node arena, and top tier are
-// all pre-sized.  There is no warm-up phase: the reserve itself is the
+// allocation-free: the pooled records, the free list, and the ladder's
+// bottom ring, node arena, and top tier are all pre-sized.  There is no warm-up phase: the reserve itself is the
 // warm-up, so a single allocation from the very first event fails here.
 //
 // The workload deliberately crosses every ladder tier: timer chains (bottom
@@ -98,9 +97,8 @@ struct Lcg {
   }
 };
 
-void run_engine_workload(QueueKind kind) {
-  SCOPED_TRACE(testing::Message() << "queue=" << to_string(kind));
-  Simulator sim(kind);
+TEST(EventQueueAlloc, LadderEngineIsAllocFreeAfterReserve) {
+  Simulator sim;
   constexpr std::size_t kReserve = 4'096;
   sim.reserve_events(kReserve);
 
@@ -154,14 +152,6 @@ void run_engine_workload(QueueKind kind) {
   EXPECT_GT(cancelled, 0);
   EXPECT_EQ(g_allocations.load(), 0u)
       << "event engine allocated after reserve_events(" << kReserve << ")";
-}
-
-TEST(EventQueueAlloc, LadderEngineIsAllocFreeAfterReserve) {
-  run_engine_workload(QueueKind::kLadder);
-}
-
-TEST(EventQueueAlloc, HeapEngineIsAllocFreeAfterReserve) {
-  run_engine_workload(QueueKind::kHeap);
 }
 
 }  // namespace

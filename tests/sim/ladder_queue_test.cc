@@ -1,10 +1,10 @@
 // Unit tests for the tiered LadderQueue (sim/ladder_queue.h, DESIGN.md §15).
 //
 // The differential suite (tests/sim/queue_differential_test.cc) proves the
-// ladder pops the same sequence as the reference heap; these tests pin the
-// *mechanics* — which tier an event lands in, when rungs spawn and collapse,
-// when the bottom spills to the top — plus the internal invariants via
-// validate() after every structural transition.
+// ladder pops the same sequence as the reference heap (binary_heap_queue.h);
+// these tests pin the *mechanics* — which tier an event lands in, when rungs
+// spawn and collapse, when the bottom spills to the top — plus the internal
+// invariants via validate() after every structural transition.
 #include "sim/ladder_queue.h"
 
 #include <gtest/gtest.h>

@@ -1,17 +1,16 @@
-// Differential suite: LadderQueue vs BinaryHeapQueue (sim/ladder_queue.h).
+// Differential suite: LadderQueue (sim/ladder_queue.h) vs the reference
+// BinaryHeapQueue (binary_heap_queue.h).
 //
 // Every event key (time, seq) is unique, so the strict total order has
 // exactly one pop sequence — any correct priority queue must produce it.
 // These tests drive both implementations through identical randomized
-// push/pop mixes and compare every popped entry bit-for-bit.  This is the
-// unit-level half of the bit-identity argument; the driver-level half
-// (whole experiments under DASCHED_QUEUE=heap vs =ladder) lives in
-// tests/driver/queue_kind_differential_test.cc.
+// push/pop mixes and compare every popped entry bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 
+#include "binary_heap_queue.h"
 #include "sim/ladder_queue.h"
 
 namespace dasched {

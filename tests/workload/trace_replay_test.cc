@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "driver/experiment.h"
@@ -109,6 +110,11 @@ struct BadCase {
   std::int64_t line;
   const char* field;
 };
+
+// Print a case by its name: the default byte dump would show the pointer
+// values, which change from build to build and so would the test names
+// that CTest discovers from the listing.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class TraceReplayMalformed : public ::testing::TestWithParam<BadCase> {};
 

@@ -62,7 +62,7 @@ namespace {
       "  --out-jsonl F   per-cell JSON lines\n"
       "config knobs (as dasched_run):\n"
       "  --app --policy --scheme --procs --scale --nodes --delta --theta\n"
-      "  --buffer --cache --seed --shards --lane-assign --audit\n"
+      "  --buffer --cache --seed --audit\n"
       "  --trace DIR --trace-level L   (telemetry runs server-side; the\n"
       "                  summary JSON streams back; artifacts land under the\n"
       "                  daemon's working directory)\n"
@@ -232,15 +232,6 @@ int main(int argc, char** argv) {
       do_run = true;
     } else if (arg == "--seed") {
       cfg.seed = static_cast<std::uint64_t>(int_or_die(value(), "--seed"));
-      do_run = true;
-    } else if (arg == "--shards") {
-      cfg.shards = int_or_die(value(), "--shards");
-      do_run = true;
-    } else if (arg == "--lane-assign") {
-      const char* v = value();
-      const auto mode = parse_lane_assign(v);
-      if (!mode) die_invalid_value("--lane-assign", v, "round_robin|balanced");
-      cfg.lane_assign = *mode;
       do_run = true;
     } else if (arg == "--audit") {
       audit = true;

@@ -96,13 +96,6 @@ namespace {
       "  --buffer MB       client prefetch buffer capacity (default 128)\n"
       "  --cache MB        per-node storage cache (default 64)\n"
       "  --seed N          RNG seed; grid cells derive per-cell seeds\n"
-      "  --shards N        sharded event engine with N worker threads over\n"
-      "                    per-I/O-node lanes; 0 = classic serial engine\n"
-      "                    (default: DASCHED_SHARDS, then 0); results are\n"
-      "                    bit-identical for every N >= 1\n"
-      "  --lane-assign M   round_robin|balanced: lane->worker placement for\n"
-      "                    sharded runs (default: DASCHED_LANE_ASSIGN, then\n"
-      "                    balanced); wall-clock only, results identical\n"
       "  --audit           run the invariant auditor; exits 1 on violations\n"
       "  --help            this text\n",
       argv0);
@@ -190,8 +183,6 @@ int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.app = "sar";
   cfg.telemetry = telemetry_from_env();  // CLI flags below override
-  cfg.shards = shards_from_env(0);
-  cfg.lane_assign = lane_assign_from_env(cfg.lane_assign);
   bool csv = false;
   bool hexfloat = false;
   bool audit = false;
@@ -241,18 +232,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       cfg.seed = static_cast<std::uint64_t>(
           parse_int_or_die(value(), "--seed"));
-    } else if (arg == "--shards") {
-      cfg.shards = parse_int_or_die(value(), "--shards");
-    } else if (arg == "--lane-assign") {
-      const std::string v = value();
-      const auto mode = parse_lane_assign(v);
-      if (!mode) {
-        std::fprintf(stderr,
-                     "--lane-assign: expected round_robin|balanced, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
-      cfg.lane_assign = *mode;
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--csv") {

@@ -5,17 +5,11 @@
 // verification harness used by the storage-path and scheduler fast-path
 // rewrites (see EXPERIMENTS.md "Bit-identity probes").
 //
-// Usage: hexfloat_probe [--procs N] [--scale F] [--shards N]
-//                       [--lane-assign round_robin|balanced] [--workspace]
-// (defaults: 8, 0.2, 0 = classic serial engine, balanced, fresh-per-cell).
-// Diffing `--shards 1` against `--shards N` output is the tentpole check for
-// the sharded engine: the conservative-lookahead protocol promises
-// bit-identity across worker counts (DESIGN.md §14), and this probe is how
-// CI enforces it.  The same holds for the event-queue kind (run under
-// DASCHED_QUEUE=heap vs =ladder), the lane→worker map (--lane-assign), and
-// cross-run workspace reuse (--workspace routes all 32 cells through ONE
-// reused ExperimentWorkspace — warm pools, compile cache and all — instead
-// of a fresh stack per cell; DESIGN.md §16): every axis must diff clean.
+// Usage: hexfloat_probe [--procs N] [--scale F] [--workspace]
+// (defaults: 8, 0.2, fresh-per-cell).  `--workspace` routes all 32 cells
+// through ONE reused ExperimentWorkspace — warm pools, compile cache and
+// all — instead of a fresh stack per cell (DESIGN.md §16); its output must
+// diff clean against the fresh-per-cell output.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,8 +22,7 @@
 namespace dasched {
 namespace {
 
-int run_probe(int procs, double scale, int shards, LaneAssign lane_assign,
-              bool use_workspace) {
+int run_probe(int procs, double scale, bool use_workspace) {
   const std::vector<std::string> apps = {"sar", "madbench2", "hf", "apsi"};
   const std::vector<PolicyKind> policies = {
       PolicyKind::kNone, PolicyKind::kSimple, PolicyKind::kHistory,
@@ -44,8 +37,6 @@ int run_probe(int procs, double scale, int shards, LaneAssign lane_assign,
         cfg.scale.factor = scale;
         cfg.policy = policy;
         cfg.use_scheme = scheme != 0;
-        cfg.shards = shards;
-        cfg.lane_assign = lane_assign;
         const ExperimentResult r =
             use_workspace ? run_experiment(cfg, ws) : run_experiment(cfg);
         std::printf(
@@ -77,8 +68,6 @@ int run_probe(int procs, double scale, int shards, LaneAssign lane_assign,
 int main(int argc, char** argv) {
   int procs = 8;
   double scale = 0.2;
-  int shards = 0;
-  dasched::LaneAssign lane_assign = dasched::LaneAssign::kBalanced;
   bool use_workspace = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -90,27 +79,14 @@ int main(int argc, char** argv) {
       const auto v = dasched::parse_f64(argv[++i]);
       if (!v) dasched::die_invalid_value("--scale", argv[i], "a number");
       scale = *v;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      const auto v = dasched::parse_i64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--shards", argv[i], "an integer");
-      shards = static_cast<int>(*v);
-    } else if (arg == "--lane-assign" && i + 1 < argc) {
-      const auto mode = dasched::parse_lane_assign(argv[++i]);
-      if (!mode) {
-        std::fprintf(stderr,
-                     "--lane-assign: expected round_robin|balanced\n");
-        return 2;
-      }
-      lane_assign = *mode;
     } else if (arg == "--workspace") {
       use_workspace = true;
     } else {
       std::fprintf(stderr,
                    "usage: hexfloat_probe [--procs N] [--scale F] "
-                   "[--shards N] [--lane-assign round_robin|balanced] "
                    "[--workspace]\n");
       return 2;
     }
   }
-  return dasched::run_probe(procs, scale, shards, lane_assign, use_workspace);
+  return dasched::run_probe(procs, scale, use_workspace);
 }
