@@ -203,7 +203,9 @@ TEST(TelemetryRun, UntracedGridEmitsNoTelemetryRows) {
   grid.apps = {"sar"};
   grid.policies = {PolicyKind::kNone};
   grid.schemes = {false};
-  const GridResultSet results = run_grid(grid, GridRunOptions{.threads = 1});
+  GridRunOptions opts;
+  opts.threads = 1;
+  const GridResultSet results = run_grid(grid, opts);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results.rows()[0].result.telemetry, nullptr);
   std::ostringstream csv;

@@ -2,14 +2,15 @@
 //
 // Mirrors dasched_run's single/grid interface, but every simulation runs
 // on the daemon over the bit-exact serve protocol, so output produced here
-// diffs clean against dasched_run on the same configuration:
+// diffs clean against dasched_run on the same configuration (indented lines
+// continue the command above them):
 //
 //   dasched_serve --socket tcp:0          # prints e.g. tcp:43617
 //   dasched_client --connect tcp:43617 --ping
-//   dasched_client --connect tcp:43617 --app sar --policy history \
+//   dasched_client --connect tcp:43617 --app sar --policy history
 //       --scheme --csv            # == dasched_run ... --csv
 //   dasched_client --connect tcp:43617 --replay trace.csv --hexfloat
-//   dasched_client --connect tcp:43617 --grid --apps sar,hf \
+//   dasched_client --connect tcp:43617 --grid --apps sar,hf
 //       --policies default,history --schemes both --out-csv grid.csv
 //   dasched_client --connect tcp:43617 --shutdown
 //
