@@ -6,12 +6,9 @@
 namespace dasched {
 
 namespace {
-constexpr int kMaxOpsPerSlot = 4'096;
-
-std::uint64_t site_key(int process, Slot slot, int op_index) {
-  return (static_cast<std::uint64_t>(process) << 48) ^
-         (static_cast<std::uint64_t>(slot) * kMaxOpsPerSlot) ^
-         static_cast<std::uint64_t>(op_index);
+/// `v[i]` for a signed index the caller has range-checked.
+int at(const std::vector<int>& v, std::int64_t i) {
+  return v[static_cast<std::size_t>(i)];
 }
 }  // namespace
 
@@ -164,6 +161,9 @@ void ClientProcess::finish_slot() {
   for (auto& cb : ready) cb();
   ready.clear();
   ready_scratch_ = std::move(ready);
+  // GlobalBuffer skips space waiters on the strength of this (DESIGN.md §18).
+  assert(!cluster_.config().use_runtime_scheduler ||
+         cluster_.scheduler(pid_).cursor_entry_consistent());
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +173,50 @@ void ClientProcess::finish_slot() {
 SchedulerThread::SchedulerThread(Cluster& cluster, int pid)
     : cluster_(cluster), pid_(pid) {}
 
+void SchedulerThread::reset() {
+  cursor_ = 0;
+  fetches_in_flight_ = 0;
+  registrations_.clear();
+  next_token_ = 0;
+  kicks_ = 0;
+}
+
+void SchedulerThread::park(WaitKey key, int access_id, Bytes size) {
+  // A second registration for the same condition would fire right after the
+  // first, in the same walk, find nothing changed and register yet another
+  // copy: the wakeup storm.
+  for (const Registration& r : registrations_) {
+    if (r.key == key) return;
+  }
+  const std::uint32_t token = next_token_++;
+  registrations_.push_back({key, token});
+  auto fire = [this, token] { wake(token); };
+  if (key.space) {
+    cluster_.buffer().wait_space(access_id, size, fire);
+  } else {
+    cluster_.client(key.process).subscribe_progress(key.slot, fire);
+  }
+}
+
+void SchedulerThread::wake(std::uint32_t token) {
+  const auto it = std::find_if(
+      registrations_.begin(), registrations_.end(),
+      [token](const Registration& r) { return r.token == token; });
+  assert(it != registrations_.end());
+  registrations_.erase(it);
+  kick();
+}
+
+bool SchedulerThread::cursor_entry_consistent() const {
+  const auto& entries = cluster_.compiled().table.entries(pid_);
+  if (cursor_ >= entries.size()) return true;
+  const AccessRecord& rec = entries[cursor_].rec;
+  return cluster_.client(pid_).local_time() <= rec.original ||
+         cluster_.buffer().state(rec.id) != BufferEntryState::kAbsent;
+}
+
 void SchedulerThread::kick() {
+  ++kicks_;
   if (fetches_in_flight_ >= cluster_.config().scheduler_fetch_depth) return;
   const auto& entries = cluster_.compiled().table.entries(pid_);
   ClientProcess& owner = cluster_.client(pid_);
@@ -196,7 +239,7 @@ void SchedulerThread::kick() {
     }
     // Wait until this process reaches the scheduled slot.
     if (e.slot > owner.local_time() && !owner.finished()) {
-      owner.subscribe_progress(e.slot, [this] { kick(); });
+      park({false, pid_, e.slot});
       return;
     }
     // If the application has already passed the original point there is no
@@ -210,13 +253,13 @@ void SchedulerThread::kick() {
     if (e.rec.writer_process >= 0 && e.rec.writer_process != pid_) {
       ClientProcess& writer = cluster_.client(e.rec.writer_process);
       if (writer.local_time() <= e.rec.writer_slot && !writer.finished()) {
-        writer.subscribe_progress(e.rec.writer_slot + 1, [this] { kick(); });
+        park({false, e.rec.writer_process, e.rec.writer_slot + 1});
         return;
       }
     }
     const IoOp& op = cluster_.op_for(id);
     if (!buffer.try_reserve(id, op.size)) {
-      buffer.wait_space([this] { kick(); });
+      park({true, -1, 0}, id, op.size);
       return;
     }
     stats.prefetches += 1;
@@ -258,19 +301,32 @@ Cluster::Cluster(Simulator& sim, StorageSystem& storage, const Compiled& compile
 }
 
 void Cluster::rebuild_site_index() {
-  site_index_.clear();
-  for (std::size_t i = 0; i < compiled_->program.read_sites.size(); ++i) {
-    const ReadSite& site = compiled_->program.read_sites[i];
-    assert(site.op_index < kMaxOpsPerSlot);
-    site_index_[site_key(site.process, site.slot, site.op_index)] =
+  process_first_slot_.clear();
+  slot_first_op_.clear();
+  op_access_ids_.clear();
+  for (const ProcessPlan& plan : compiled_->program.processes) {
+    process_first_slot_.push_back(static_cast<int>(slot_first_op_.size()));
+    for (const SlotPlan& slot : plan.slots) {
+      slot_first_op_.push_back(static_cast<int>(op_access_ids_.size()));
+      op_access_ids_.insert(op_access_ids_.end(), slot.ops.size(), -1);
+    }
+  }
+  process_first_slot_.push_back(static_cast<int>(slot_first_op_.size()));
+  slot_first_op_.push_back(static_cast<int>(op_access_ids_.size()));
+  const auto& sites = compiled_->program.read_sites;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const ReadSite& site = sites[i];
+    const int first_op =
+        at(slot_first_op_, at(process_first_slot_, site.process) + site.slot);
+    op_access_ids_[static_cast<std::size_t>(first_op + site.op_index)] =
         static_cast<int>(i);
   }
 }
 
 void Cluster::reset(const Compiled& compiled, RuntimeConfig cfg) {
-  // Index rebuild (which allocates hash nodes) only happens when the driver
-  // hands over a different compiled object; workspace reruns over a cached
-  // compile keep the same address and skip it.
+  // The read-site index is rebuilt only when the driver hands over a
+  // different compiled object; workspace reruns over a cached compile keep
+  // the same address and skip it.
   const bool same_compiled = compiled_ == &compiled;
   compiled_ = &compiled;
   cfg_ = cfg;
@@ -330,9 +386,22 @@ RuntimeStats Cluster::stats() const {
   return out;
 }
 
+std::int64_t Cluster::kicks() const {
+  std::int64_t n = 0;
+  for (const auto& s : schedulers_) n += s->kicks();
+  return n;
+}
+
 int Cluster::access_id_at(int process, Slot slot, int op_index) const {
-  const auto it = site_index_.find(site_key(process, slot, op_index));
-  return it == site_index_.end() ? -1 : it->second;
+  const auto nproc = static_cast<int>(process_first_slot_.size()) - 1;
+  if (process < 0 || process >= nproc) return -1;
+  const int first_slot = at(process_first_slot_, process);
+  const int num_slots = at(process_first_slot_, process + 1) - first_slot;
+  if (slot < 0 || slot >= num_slots) return -1;
+  const int first_op = at(slot_first_op_, first_slot + slot);
+  const int num_ops = at(slot_first_op_, first_slot + slot + 1) - first_op;
+  if (op_index < 0 || op_index >= num_ops) return -1;
+  return at(op_access_ids_, first_op + op_index);
 }
 
 const IoOp& Cluster::op_for(int access_id) const {

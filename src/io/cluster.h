@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/compile.h"
@@ -72,6 +71,11 @@ class ClientProcess {
   /// Fires `cb` (once) as soon as local_time() >= needed.
   void subscribe_progress(Slot needed, std::function<void()> cb);
 
+  /// Progress subscriptions not yet fired.
+  [[nodiscard]] int pending_subscriptions() const {
+    return static_cast<int>(waiters_.size());
+  }
+
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] SimTime finish_time() const { return finish_time_; }
   [[nodiscard]] int pid() const { return pid_; }
@@ -98,6 +102,15 @@ class ClientProcess {
 /// One runtime data-access scheduler thread (light-weight, per client node).
 /// It keeps a small bounded number of fetches in flight (a blocking thread
 /// with limited lookahead), so prefetch traffic can never flood the disks.
+///
+/// A blocked thread waits for one condition: a process (its owner, or the
+/// writer of the entry) reaching a slot, or buffer space.  It holds at most
+/// one wakeup registration per condition: blocking again on a condition it
+/// already has a registration for keeps that one and its queue position.
+/// A registration left behind when the thread moved on (its entry was handled
+/// by the application meanwhile) stays queued and still wakes the thread,
+/// so wakeups happen exactly where the first of the duplicates used to fire
+/// (DESIGN.md "Runtime prefetcher wakeups").
 class SchedulerThread {
  public:
   SchedulerThread(Cluster& cluster, int pid);
@@ -106,17 +119,50 @@ class SchedulerThread {
   /// release, writer progress and fetch completion.
   void kick();
 
-  /// Rewinds the table cursor for a fresh run.
-  void reset() {
-    cursor_ = 0;
-    fetches_in_flight_ = 0;
+  /// Rewinds the table cursor for a fresh run and forgets the registrations
+  /// (the owning cluster resets the queues that held them).
+  void reset();
+
+  /// Wakeup registrations queued and not yet fired; at most one per
+  /// condition.
+  [[nodiscard]] int registrations() const {
+    return static_cast<int>(registrations_.size());
   }
 
+  /// kick() calls since construction or reset().
+  [[nodiscard]] std::int64_t kicks() const { return kicks_; }
+
+  /// False when the entry under the cursor is still absent although its
+  /// owner has passed the entry's original slot.  The owner's own read marks
+  /// it done first, and GlobalBuffer::wait_space's skip rule relies on that.
+  [[nodiscard]] bool cursor_entry_consistent() const;
+
  private:
+  struct WaitKey {
+    bool space = false;
+    int process = -1;  // !space: whose local time
+    Slot slot = 0;     // !space: the local time needed
+    friend bool operator==(const WaitKey&, const WaitKey&) = default;
+  };
+  struct Registration {
+    WaitKey key;
+    std::uint32_t token = 0;
+  };
+
+  /// Blocks the thread on `key`, registering a wakeup unless one is already
+  /// queued for it.  A space waiter names the entry it retries and its size.
+  void park(WaitKey key, int access_id = -1, Bytes size = 0);
+  /// A registration fired: forget it and re-evaluate.
+  void wake(std::uint32_t token);
+
   Cluster& cluster_;
   int pid_;
   std::size_t cursor_ = 0;
   int fetches_in_flight_ = 0;
+  /// Queued registrations; capacity is kept across runs.
+  std::vector<Registration> registrations_;
+  std::uint32_t next_token_ = 0;
+  std::int64_t kicks_ = 0;
 };
 
 class Cluster {
@@ -151,6 +197,20 @@ class Cluster {
 
   [[nodiscard]] RuntimeStats stats() const;
 
+  /// SchedulerThread::kick() calls in this run, over all threads and every
+  /// source (start, owner and writer progress, space release, fetch
+  /// completion).  Observability only: not part of RuntimeStats or any
+  /// serialized result.
+  [[nodiscard]] std::int64_t kicks() const;
+
+  /// The scheduler thread of process `p` (scheme-on runs only).
+  [[nodiscard]] const SchedulerThread& scheduler(int p) const {
+    return *schedulers_[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] int num_schedulers() const {
+    return static_cast<int>(schedulers_.size());
+  }
+
   [[nodiscard]] int num_processes() const {
     return static_cast<int>(clients_.size());
   }
@@ -182,7 +242,13 @@ class Cluster {
   GlobalBuffer buffer_;
   std::vector<std::unique_ptr<ClientProcess>> clients_;
   std::vector<std::unique_ptr<SchedulerThread>> schedulers_;
-  std::unordered_map<std::uint64_t, int> site_index_;
+  // Read-site index, flat over (process, slot, op): process p's slots are
+  // slot_first_op_[process_first_slot_[p] + s], each the offset of the
+  // slot's first op in op_access_ids_ (an access id, or -1 for a write).
+  // Both offset tables end with a sentinel.
+  std::vector<int> process_first_slot_;
+  std::vector<int> slot_first_op_;
+  std::vector<int> op_access_ids_;
   RuntimeStats stats_;
   bool started_ = false;
 };

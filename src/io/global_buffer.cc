@@ -83,6 +83,29 @@ void GlobalBuffer::fire_chain(std::int32_t head) {
   }
 }
 
+void GlobalBuffer::wake_space_waiters() {
+  std::int32_t head = space_head_;
+  space_head_ = kNil;
+  space_tail_ = kNil;
+  while (head != kNil) {
+    WaiterNode& n = arena_[static_cast<std::size_t>(head)];
+    const std::int32_t next = n.next;
+    if (state(n.access_id) == BufferEntryState::kAbsent &&
+        used_ + n.size > capacity_) {
+      // Invoked now, the waiter would fail try_reserve and park again at
+      // the tail of the chain being rebuilt; re-link the node there instead.
+      n.next = kNil;
+      append(space_head_, space_tail_, head);
+      head = next;
+      continue;
+    }
+    EventFn fn = std::move(n.fn);
+    free_node(head);
+    head = next;
+    fn();
+  }
+}
+
 bool GlobalBuffer::try_reserve(int access_id, Bytes size) {
   Slot& s = slot_for(access_id);
   assert(s.state == BufferEntryState::kAbsent);
@@ -117,10 +140,7 @@ void GlobalBuffer::mark_ready(int access_id) {
       free_node(i);
       i = next;
     }
-    const std::int32_t head = space_head_;
-    space_head_ = kNil;
-    space_tail_ = kNil;
-    fire_chain(head);
+    wake_space_waiters();
     return;
   }
   s.state = BufferEntryState::kReady;
@@ -138,10 +158,7 @@ void GlobalBuffer::consume(int access_id) {
   s.size = 0;
   s.done = true;
   stats_.consumed += 1;
-  const std::int32_t head = space_head_;
-  space_head_ = kNil;
-  space_tail_ = kNil;
-  fire_chain(head);
+  wake_space_waiters();
 }
 
 void GlobalBuffer::mark_done(int access_id) { slot_for(access_id).done = true; }
@@ -161,8 +178,21 @@ void GlobalBuffer::wait_ready(int access_id, EventFn cb) {
   stats_.consumed_in_flight += 1;
 }
 
-void GlobalBuffer::wait_space(EventFn cb) {
-  append(space_head_, space_tail_, alloc_node(std::move(cb)));
+void GlobalBuffer::wait_space(int access_id, Bytes size, EventFn cb) {
+  const std::int32_t node = alloc_node(std::move(cb));
+  WaiterNode& n = arena_[static_cast<std::size_t>(node)];
+  n.access_id = access_id;
+  n.size = size;
+  append(space_head_, space_tail_, node);
+}
+
+int GlobalBuffer::space_waiters() const {
+  int count = 0;
+  for (std::int32_t i = space_head_; i != kNil;
+       i = arena_[static_cast<std::size_t>(i)].next) {
+    ++count;
+  }
+  return count;
 }
 
 }  // namespace dasched

@@ -5,7 +5,8 @@
 // each prefetch serves exactly one scheduled future read.  On an application
 // hit the entry is invalidated immediately to make space for subsequent
 // prefetches; when the buffer is full, scheduler threads stop fetching and
-// resume when space frees up.
+// resume when space frees up.  A space waiter names the entry it is parked
+// on, so a release wakes only the waiters whose retry could succeed.
 //
 // Access ids are the dense indices of the compiled program's read sites, so
 // the buffer is a flat id-indexed table rather than a hash map, and the
@@ -26,6 +27,9 @@ enum class BufferEntryState { kAbsent, kInFlight, kReady, kDone };
 
 struct BufferStats {
   std::int64_t reservations = 0;
+  /// try_reserve calls that found the buffer full.  A parked space waiter
+  /// that a release cannot satisfy is not retried, so this counts real
+  /// failed reservations, not wakeups.
   std::int64_t full_rejections = 0;
   std::int64_t consumed = 0;
   /// Application reads that arrived while the prefetch was still in flight.
@@ -57,7 +61,7 @@ class GlobalBuffer {
   void mark_ready(int access_id);
 
   /// The application consumed the entry (hit): frees the bytes and wakes
-  /// scheduler threads waiting for space.
+  /// the space waiters that can now make progress.
   void consume(int access_id);
 
   /// The application handled this access itself (prefetch never issued or
@@ -75,8 +79,16 @@ class GlobalBuffer {
   /// Fires `cb` once when the in-flight entry becomes ready.
   void wait_ready(int access_id, EventFn cb);
 
-  /// Fires `cb` once at the next space release.
-  void wait_space(EventFn cb);
+  /// Fires `cb` once at the first space release after which a retry of
+  /// `try_reserve(access_id, size)` could do something other than fail
+  /// again: the entry was reserved or handled (done) meanwhile, or the free
+  /// bytes now cover `size`.  Releases that cannot satisfy it leave the
+  /// waiter parked without invoking it, in unchanged FIFO order relative to
+  /// the other waiters.
+  void wait_space(int access_id, Bytes size, EventFn cb);
+
+  /// Space waiters currently parked.
+  [[nodiscard]] int space_waiters() const;
 
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const { return capacity_; }
@@ -97,6 +109,9 @@ class GlobalBuffer {
   struct WaiterNode {
     EventFn fn;
     std::int32_t next = kNil;
+    /// Space waiters only: the entry the waiter retries and its size.
+    std::int32_t access_id = kNil;
+    Bytes size = 0;
   };
 
   /// Grows the slot table to cover `access_id` (tests drive the buffer
@@ -109,6 +124,11 @@ class GlobalBuffer {
   /// the buffer (reserve, wait, consume); the chain is unlinked first so
   /// re-entry can never corrupt the walk.
   void fire_chain(std::int32_t head);
+  /// After a release: detaches the space chain and fires, in FIFO order,
+  /// every waiter whose retry could succeed; the others (entry still absent
+  /// and not done, larger than the free bytes) are re-linked in walk order,
+  /// exactly where a failed retry would have re-parked them.
+  void wake_space_waiters();
 
   Bytes capacity_;
   Bytes used_ = 0;
