@@ -13,10 +13,16 @@
 //
 // Representation: the first 64 bits live inline in a single word, so the
 // common configurations (Table II uses 8 I/O nodes) never touch the heap —
-// constructing, copying and OR-ing signatures is allocation-free, and
-// `similarity`/`difference`/`distance` are a couple of intrinsic popcounts.
+// constructing, copying and OR-ing signatures is allocation-free.
 // Signatures over more than 64 nodes spill the remaining words into a
 // vector sized once at construction.
+//
+// Bit counting: `popcount64` is the POPCNT instruction when the target has
+// it (`__POPCNT__`, e.g. under -march=native) and otherwise a branch-free
+// SWAR sequence.  The build sets no -march, and there `std::popcount`
+// compiles to an out-of-line libgcc call per word; the inline SWAR form
+// keeps `similarity`/`difference`/`distance` call-free.  Both forms return
+// the exact bit count, so the choice never changes a result.
 #pragma once
 
 #include <bit>
@@ -28,6 +34,26 @@
 #include <vector>
 
 namespace dasched {
+
+/// Branch-free SWAR bit count (the classic 2/4/8-bit partial sums plus one
+/// multiply).  Exact for every input; exposed so tests can check it even
+/// on targets where `popcount64` uses the instruction.
+[[nodiscard]] constexpr int swar_popcount(std::uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
+/// Inline bit count of one word: the instruction when the target has it,
+/// SWAR otherwise — never a library call.
+[[nodiscard]] constexpr int popcount64(std::uint64_t x) {
+#if defined(__POPCNT__)
+  return std::popcount(x);
+#else
+  return swar_popcount(x);
+#endif
+}
 
 // dasched-lint: allow(hot-alloc): the copy constructor copies `rest_`,
 // which is empty (never allocates) for clusters of <= 64 I/O nodes.
@@ -83,10 +109,30 @@ class Signature {
   /// Number of I/O nodes this signature ranges over (n).
   [[nodiscard]] int size() const { return n_; }
 
+  /// Number of 64-bit words holding the bits (at least 1).
+  [[nodiscard]] std::size_t num_words() const { return 1 + rest_.size(); }
+
+  /// Bits 64·i .. 64·i+63 as one word, for callers that keep signatures in
+  /// flat word arrays.
+  [[nodiscard]] std::uint64_t word(std::size_t i) const {
+    assert(i < num_words());
+    return i == 0 ? word0_ : rest_[i - 1];
+  }
+
+  /// Overwrites word `i`; bits beyond n must stay clear.
+  void set_word(std::size_t i, std::uint64_t w) {
+    assert(i < num_words());
+    if (i == 0) {
+      word0_ = w;
+    } else {
+      rest_[i - 1] = w;
+    }
+  }
+
   /// Number of set bits.
   [[nodiscard]] int popcount() const {
-    int total = std::popcount(word0_);
-    for (std::uint64_t w : rest_) total += std::popcount(w);
+    int total = popcount64(word0_);
+    for (std::uint64_t w : rest_) total += popcount64(w);
     return total;
   }
 
@@ -147,31 +193,31 @@ class Signature {
   /// Count of positions where both signatures have a 1.
   [[nodiscard]] friend int similarity(const Signature& a, const Signature& b) {
     assert(a.n_ == b.n_);
-    int total = std::popcount(a.word0_ & b.word0_);
+    int total = popcount64(a.word0_ & b.word0_);
     for (std::size_t i = 0; i < a.rest_.size(); ++i)
-      total += std::popcount(a.rest_[i] & b.rest_[i]);
+      total += popcount64(a.rest_[i] & b.rest_[i]);
     return total;
   }
 
   /// Count of positions where the signatures differ.
   [[nodiscard]] friend int difference(const Signature& a, const Signature& b) {
     assert(a.n_ == b.n_);
-    int total = std::popcount(a.word0_ ^ b.word0_);
+    int total = popcount64(a.word0_ ^ b.word0_);
     for (std::size_t i = 0; i < a.rest_.size(); ++i)
-      total += std::popcount(a.rest_[i] ^ b.rest_[i]);
+      total += popcount64(a.rest_[i] ^ b.rest_[i]);
     return total;
   }
 
   /// The paper's distance: n - similarity + difference.  Both signatures
   /// must range over the same number of nodes.  One fused pass: n ≤ 64
-  /// costs two popcounts on a pair of inline words.
+  /// costs two inline popcounts on a pair of inline words.
   [[nodiscard]] friend int distance(const Signature& a, const Signature& b) {
     assert(a.n_ == b.n_);
-    int total = a.n_ - std::popcount(a.word0_ & b.word0_) +
-                std::popcount(a.word0_ ^ b.word0_);
+    int total = a.n_ - popcount64(a.word0_ & b.word0_) +
+                popcount64(a.word0_ ^ b.word0_);
     for (std::size_t i = 0; i < a.rest_.size(); ++i) {
-      total += std::popcount(a.rest_[i] ^ b.rest_[i]) -
-               std::popcount(a.rest_[i] & b.rest_[i]);
+      total += popcount64(a.rest_[i] ^ b.rest_[i]) -
+               popcount64(a.rest_[i] & b.rest_[i]);
     }
     return total;
   }
