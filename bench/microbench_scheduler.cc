@@ -373,6 +373,57 @@ BENCHMARK(BM_SchedulerGridCellSchemeOn)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"app"});  // 0 = sar, 1 = madbench2
 
+/// The slacked read trace one `paper-grid` compile miss schedules: the
+/// app's workload at the ExperimentConfig defaults (Table II storage,
+/// max_slack, the app's length unit), after slack analysis.
+struct SlackedTrace {
+  CompiledProgram program;
+  int num_io_nodes = 0;
+};
+
+SlackedTrace slacked_trace(const std::string& app_name, WorkloadScale scale) {
+  const ExperimentConfig cfg;
+  const App& app = app_by_name(app_name);
+  StripingMap striping(cfg.storage.num_io_nodes, cfg.storage.stripe_size);
+  SlackedTrace trace{app.build(striping, scale), striping.num_io_nodes()};
+  SlackOptions slack = cfg.compile.slack;
+  slack.length_unit = app.length_unit;
+  slack.max_slack = cfg.max_slack;
+  analyze_slacks(trace.program, striping, slack);
+  return trace;
+}
+
+/// Scheduling pass alone over one app's slacked trace at the paper-grid
+/// scale (32 procs x 0.1): the `core.schedule` share of a scheme-on
+/// compile miss.  Summed over the six apps this is the compile layer's
+/// number.  items/sec = accesses/sec.
+void BM_SchedulerPaperTrace(benchmark::State& state, const char* app) {
+  const SlackedTrace trace = slacked_trace(app, WorkloadScale{32, 0.1});
+  const ScheduleOptions opts = ExperimentConfig{}.compile.sched;
+  const Slot slots = std::max<Slot>(trace.program.num_slots, 1);
+  std::vector<ScheduledAccess> out;
+  for (auto _ : state) {
+    AccessScheduler sched(trace.num_io_nodes, slots, opts);
+    sched.schedule_into(trace.program.reads, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.program.reads.size()));
+}
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, hf, "hf")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, sar, "sar")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, astro, "astro")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, apsi, "apsi")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, madbench2, "madbench2")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerPaperTrace, wupwise, "wupwise")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ReuseFactor(benchmark::State& state) {
   AccessScheduler sched(8, 1'000, ScheduleOptions{.delta = 20});
   auto accesses = random_accesses(200, 8, 1'000, 3);

@@ -13,7 +13,7 @@ Compiled finish(CompiledProgram lowered, const StripingMap& striping,
     AccessScheduler scheduler(striping.num_io_nodes(),
                               std::max<Slot>(lowered.num_slots, 1), opts.sched);
     scheduler.add_observer(opts.sched_observer);
-    out.scheduled = scheduler.schedule(lowered.reads);
+    scheduler.schedule_into(lowered.reads, out.scheduled);
     out.sched_stats = scheduler.stats();
   } else {
     out.scheduled.reserve(lowered.reads.size());

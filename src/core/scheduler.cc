@@ -14,8 +14,11 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
       num_slots_(num_slots),
       opts_(opts),
       rng_(opts.seed),
-      group_(static_cast<std::size_t>(num_slots), Signature(num_io_nodes)),
+      words_(Signature(num_io_nodes).num_words()),
+      group_words_(static_cast<std::size_t>(num_slots) * words_, 0),
+      group_pop_(static_cast<std::size_t>(num_slots), 0),
       sigma_(static_cast<std::size_t>(opts.delta) + 1),
+      recip_(2 * static_cast<std::size_t>(num_io_nodes) + 1),
       inv_d_(static_cast<std::size_t>(num_slots), 0.0),
       run_end_(static_cast<std::size_t>(num_slots), 0) {
   assert(num_io_nodes > 0 && num_slots > 0);
@@ -31,10 +34,17 @@ AccessScheduler::AccessScheduler(int num_io_nodes, Slot num_slots,
   for (int j = 0; j <= opts_.delta; ++j) {
     sigma_[static_cast<std::size_t>(j)] = weight(j, opts_.delta);
   }
+  // Reciprocal table over every reachable distance 0..2n: the same
+  // quotients as dividing per slot.  The paper sets 1/d to 2 when the
+  // distance is 0 (a perfect reuse of an identical active set).
+  for (std::size_t d = 0; d < recip_.size(); ++d) {
+    recip_[d] = d == 0 ? 2.0 : 1.0 / static_cast<double>(d);
+  }
 }
 
 void AccessScheduler::reset() {
-  for (Signature& g : group_) g.clear();
+  std::fill(group_words_.begin(), group_words_.end(), 0);
+  std::fill(group_pop_.begin(), group_pop_.end(), 0);
   std::fill(node_counts_.begin(), node_counts_.end(), 0);
   for (Signature& s : saturated_) s.clear();
   for (auto& rows : occupied_) std::fill(rows.begin(), rows.end(), 0);
@@ -49,10 +59,9 @@ double AccessScheduler::weight(int outside_distance, int delta) {
 
 double AccessScheduler::reciprocal_distance(const AccessRecord& rec,
                                             Slot s) const {
-  const int d = distance(rec.sig, group_[static_cast<std::size_t>(s)]);
-  // The paper sets 1/d to 2 when the distance is 0 (a perfect reuse of an
-  // identical active set).
-  return d == 0 ? 2.0 : 1.0 / static_cast<double>(d);
+  const int d = slot_distance(rec.sig, num_nodes_ + rec.sig.popcount(),
+                              static_cast<std::size_t>(s));
+  return recip_[static_cast<std::size_t>(d)];
 }
 
 double AccessScheduler::reuse_factor(const AccessRecord& rec, Slot slot) const {
@@ -81,19 +90,46 @@ double AccessScheduler::reuse_factor_with_weights(
   return total;
 }
 
+int AccessScheduler::slot_distance(const Signature& sig, int base,
+                                   std::size_t s) const {
+  // n - |a∧g| + |a⊕g| with |a⊕g| = |a| + |g| - 2·|a∧g|: one popcount per
+  // word against the cached |g|.
+  const std::uint64_t* g = group_words_.data() + s * words_;
+  int common = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    common += popcount64(sig.word(w) & g[w]);
+  }
+  return base + group_pop_[s] - 3 * common;
+}
+
 void AccessScheduler::fill_distance_cache(const AccessRecord& rec,
                                           Slot span_lo, Slot span_hi) {
   assert(span_lo >= 0 && span_hi < num_slots_ && span_lo <= span_hi);
-  for (Slot s = span_lo; s <= span_hi; ++s) {
-    inv_d_[static_cast<std::size_t>(s)] = reciprocal_distance(rec, s);
-  }
-  run_end_[static_cast<std::size_t>(span_hi)] = span_hi;
-  for (Slot s = span_hi - 1; s >= span_lo; --s) {
-    run_end_[static_cast<std::size_t>(s)] =
-        inv_d_[static_cast<std::size_t>(s)] ==
-                inv_d_[static_cast<std::size_t>(s + 1)]
-            ? run_end_[static_cast<std::size_t>(s + 1)]
-            : s;
+  // The walk runs right to left so the end of the current constant run
+  // stays in a register; 1/d is injective, so equal distances are exactly
+  // equal reciprocals.
+  const auto fill = [&](auto&& distance_at) {
+    int next_d = -1;
+    Slot end = span_hi;
+    for (Slot s = span_hi; s >= span_lo; --s) {
+      const auto i = static_cast<std::size_t>(s);
+      const int d = distance_at(i);
+      end = d == next_d ? end : s;
+      next_d = d;
+      inv_d_[i] = recip_[static_cast<std::size_t>(d)];
+      run_end_[i] = end;
+    }
+  };
+  const int base = num_nodes_ + rec.sig.popcount();
+  if (words_ == 1) {
+    // Up to 64 I/O nodes (every Table II configuration): one flat word
+    // per slot.
+    const std::uint64_t a = rec.sig.word(0);
+    fill([&](std::size_t i) {
+      return base + group_pop_[i] - 3 * popcount64(a & group_words_[i]);
+    });
+  } else {
+    fill([&](std::size_t i) { return slot_distance(rec.sig, base, i); });
   }
 }
 
@@ -113,6 +149,74 @@ double AccessScheduler::cached_reuse_factor(const AccessRecord& rec,
              inv_d_[static_cast<std::size_t>(slot + k)];
   }
   return total;
+}
+
+void AccessScheduler::evaluate_candidates(const AccessRecord& rec) {
+  const int delta = opts_.delta;
+  const int l = rec.length;
+  const auto width = static_cast<std::size_t>(l + 2 * delta);
+  // dasched-lint: allow(hot-alloc): window scratch keeps its capacity; it
+  // grows only for the longest access of the first batch.
+  window_w_.resize(width);
+  for (std::size_t m = 0; m < width; ++m) {
+    const int k = static_cast<int>(m) - delta;
+    const int j = k < 0 ? -k : (k > l - 1 ? k - (l - 1) : 0);
+    window_w_[m] = sigma_[static_cast<std::size_t>(j)];
+  }
+
+  // Constant-run memo: when a candidate's whole σ window is interior and
+  // falls inside one constant run of 1/d, its sum is the exact same
+  // float-operation sequence as the previous such candidate's — reuse the
+  // result in O(1).  (A general prefix-sum slide would reassociate the
+  // sum and break bit-identical tie behavior; see DESIGN.md §11.)
+  bool have_const = false;
+  double const_val = 0.0;
+  double const_reuse = 0.0;
+  std::size_t lanes[kLanes];
+  std::size_t pending = 0;
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    Candidate& c = candidates_[i];
+    const Slot wlo = c.slot - delta;
+    const Slot whi = c.slot + l - 1 + delta;
+    if (wlo < 0 || whi >= num_slots_) {
+      c.reuse = cached_reuse_factor(rec, c.slot);
+    } else if (run_end_[static_cast<std::size_t>(wlo)] >= whi) {
+      const double v = inv_d_[static_cast<std::size_t>(wlo)];
+      if (!have_const || v != const_val) {
+        const_val = v;
+        const_reuse = cached_reuse_factor(rec, c.slot);
+        have_const = true;
+      }
+      c.reuse = const_reuse;
+    } else {
+      lanes[pending++] = i;
+      if (pending == kLanes) {
+        sum_lanes(lanes, pending);
+        pending = 0;
+      }
+    }
+  }
+  if (pending > 0) sum_lanes(lanes, pending);
+}
+
+void AccessScheduler::sum_lanes(const std::size_t* lanes, std::size_t count) {
+  // Each lane adds its own window's terms left to right, exactly as
+  // `cached_reuse_factor` does; only independent chains are interleaved,
+  // so every sum is bit-identical.  Unused lanes repeat the last real one.
+  const double* x[kLanes];
+  for (std::size_t c = 0; c < kLanes; ++c) {
+    const Candidate& cand = candidates_[lanes[c < count ? c : count - 1]];
+    x[c] = inv_d_.data() + (cand.slot - opts_.delta);
+  }
+  double acc[kLanes] = {};
+  const std::size_t width = window_w_.size();
+  for (std::size_t m = 0; m < width; ++m) {
+    const double w = window_w_[m];
+    for (std::size_t c = 0; c < kLanes; ++c) acc[c] += w * x[c][m];
+  }
+  for (std::size_t c = 0; c < count; ++c) {
+    candidates_[lanes[c]].reuse = acc[c];
+  }
 }
 
 void AccessScheduler::ensure_process(int process) {
@@ -178,7 +282,7 @@ void AccessScheduler::place(const AccessRecord& rec, Slot slot) {
   auto& rows = occupied_[static_cast<std::size_t>(rec.process)];
   for (int k = 0; k < rec.length; ++k) {
     const auto s = static_cast<std::size_t>(slot + k);
-    group_[s] |= rec.sig;
+    merge_group(s, rec.sig);
     rows[s] = 1;
     if (opts_.theta > 0) {
       const std::size_t base = s * static_cast<std::size_t>(num_nodes_);
@@ -191,8 +295,22 @@ void AccessScheduler::place(const AccessRecord& rec, Slot slot) {
   }
 }
 
-const Signature& AccessScheduler::group_signature(Slot slot) const {
-  return group_[static_cast<std::size_t>(slot)];
+void AccessScheduler::merge_group(std::size_t s, const Signature& sig) {
+  std::uint64_t* g = group_words_.data() + s * words_;
+  int pop = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    g[w] |= sig.word(w);
+    pop += popcount64(g[w]);
+  }
+  group_pop_[s] = pop;
+}
+
+Signature AccessScheduler::group_signature(Slot slot) const {
+  Signature out(num_nodes_);
+  const std::uint64_t* g =
+      group_words_.data() + static_cast<std::size_t>(slot) * words_;
+  for (std::size_t w = 0; w < words_; ++w) out.set_word(w, g[w]);
+  return out;
 }
 
 std::vector<ScheduledAccess> AccessScheduler::schedule(
@@ -236,7 +354,7 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       stride = (hi - lo + opts_.max_candidates) / opts_.max_candidates;
     }
 
-    // Hoisted distance cache: `group_` only changes in place(), so 1/d(s)
+    // Hoisted distance cache: groups only change in place(), so 1/d(s)
     // over every slot any candidate's window can reach is computed once per
     // access instead of once per (candidate, window slot) pair.
     const Slot span_lo = std::max<Slot>(0, lo - opts_.delta);
@@ -246,42 +364,19 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       fill_distance_cache(rec, span_lo, span_hi);
     }
 
-    // Constant-run memo: when a candidate's whole σ window is interior and
-    // falls inside one constant run of 1/d, its sum is the exact same
-    // float-operation sequence as the previous such candidate's — reuse the
-    // result in O(1).  (A general prefix-sum slide would reassociate the
-    // sum and break bit-identical tie behavior; see DESIGN.md §11.)
-    bool have_const = false;
-    double const_val = 0.0;
-    double const_reuse = 0.0;
-    const auto evaluate = [&](Slot s) {
-      const Slot wlo = s - opts_.delta;
-      const Slot whi = s + rec.length - 1 + opts_.delta;
-      if (wlo >= 0 && whi < num_slots_ &&
-          run_end_[static_cast<std::size_t>(wlo)] >= whi) {
-        const double c = inv_d_[static_cast<std::size_t>(wlo)];
-        if (!have_const || c != const_val) {
-          const_val = c;
-          const_reuse = cached_reuse_factor(rec, s);
-          have_const = true;
-        }
-        return const_reuse;
-      }
-      return cached_reuse_factor(rec, s);
-    };
-
     for (Slot s = lo; s <= hi; s += stride) {
       if (!available(rec.process, s, rec.length)) continue;
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({s, evaluate(s)});
+      candidates_.push_back({s, 0.0});
     }
     if (stride > 1 && (hi - lo) % stride != 0 &&
         available(rec.process, hi, rec.length)) {
       // dasched-lint: allow(hot-alloc): candidate scratch retains capacity
       // across placements.
-      candidates_.push_back({hi, evaluate(hi)});
+      candidates_.push_back({hi, 0.0});
     }
+    evaluate_candidates(rec);
 
     ScheduledAccess result{rec, rec.original, false};
     bool theta_fallback = false;
@@ -295,7 +390,7 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       for (int k = 0; k < rec.length; ++k) {
         const Slot s = result.slot + k;
         if (s >= 0 && s < num_slots_) {
-          group_[static_cast<std::size_t>(s)] |= rec.sig;
+          merge_group(static_cast<std::size_t>(s), rec.sig);
         }
       }
     } else if (opts_.theta <= 0) {
@@ -317,39 +412,34 @@ void AccessScheduler::schedule_into(std::span<const AccessRecord> accesses,
       result.slot = candidates_[best].slot;
       place(rec, result.slot);
     } else {
-      // θ-constrained selection (Sec. IV-B3): visit candidates in
-      // non-increasing reuse order, take the first that satisfies θ at every
-      // occupied slot; otherwise minimize the average excess E_t.  Slots are
-      // generated in strictly increasing order, so sorting by (reuse desc,
-      // slot asc) reproduces the stable sort of the reference without its
-      // temp-buffer allocation.
-      std::sort(candidates_.begin(), candidates_.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.reuse != b.reuse) return a.reuse > b.reuse;
-                  return a.slot < b.slot;
-                });
-      bool placed = false;
+      // θ-constrained selection (Sec. IV-B3): the paper visits candidates
+      // in non-increasing reuse order (slot ascending among ties) and takes
+      // the first one that satisfies θ at every occupied slot, i.e. the
+      // best-ranked passing candidate.  Candidates are in ascending slot
+      // order, so one pass finds it: a candidate can only win by strictly
+      // beating the best passing reuse so far, and only then is θ checked.
+      const Candidate* best = nullptr;
       for (const Candidate& c : candidates_) {
-        if (theta_ok(rec, c.slot)) {
-          result.slot = c.slot;
-          placed = true;
-          break;
+        if ((best == nullptr || c.reuse > best->reuse) &&
+            theta_ok(rec, c.slot)) {
+          best = &c;
         }
       }
-      if (!placed) {
+      if (best == nullptr) {
+        // Nothing satisfies θ: minimize the average excess E_t, the
+        // best-ranked candidate winning among equal minima.
         double best_excess = std::numeric_limits<double>::infinity();
-        Slot best_slot = candidates_.front().slot;
         for (const Candidate& c : candidates_) {
           const double e = average_excess(rec, c.slot);
-          if (e < best_excess) {
+          if (e < best_excess || (e == best_excess && c.reuse > best->reuse)) {
             best_excess = e;
-            best_slot = c.slot;
+            best = &c;
           }
         }
-        result.slot = best_slot;
         stats_.theta_fallbacks += 1;
         theta_fallback = true;
       }
+      result.slot = best->slot;
       place(rec, result.slot);
     }
 

@@ -22,15 +22,17 @@
 //   5. OR the access's signature into the group active signature of every
 //      slot it occupies.
 //
-// Fast path (DESIGN.md §11): `group_[s]` only changes in `place()`, so per
-// access the reciprocal distances 1/d(s) are computed once into a scratch
-// array over the reachable span, a precomputed σ table replaces the
+// Fast path (DESIGN.md §11): group signatures only change in `place()`, so
+// per access the reciprocal distances 1/d(s) are computed once into a
+// scratch array over the reachable span (one popcount per slot against a
+// cached |g|, 1/d read from a table), a precomputed σ table replaces the
 // per-term `weight()` division, and candidates whose whole σ window falls
-// inside one constant run of 1/d reuse the previous result in O(1).  Every
-// per-candidate sum keeps the exact operation order of the straightforward
-// loop, so schedules are bit-identical to the reference implementation
-// (tests/core/scheduler_differential_test.cc).  After a warm-up run,
-// `reset()` + `schedule_into()` perform zero heap allocations
+// inside one constant run of 1/d reuse the previous result in O(1).  The
+// remaining sums run `kLanes` candidates side by side, each lane keeping the
+// exact term order of the straightforward loop, and θ selection is one pass
+// instead of a sort — so schedules are bit-identical to the reference
+// implementation (tests/core/scheduler_differential_test.cc).  After a
+// warm-up run, `reset()` + `schedule_into()` perform zero heap allocations
 // (tests/core/scheduler_alloc_test.cc).
 #pragma once
 
@@ -140,8 +142,8 @@ class AccessScheduler {
   /// candidate access hypothetically placed.
   [[nodiscard]] double average_excess(const AccessRecord& rec, Slot slot) const;
 
-  /// Group active signature of one slot.
-  [[nodiscard]] const Signature& group_signature(Slot slot) const;
+  /// Group active signature of one slot (a copy of the flat words).
+  [[nodiscard]] Signature group_signature(Slot slot) const;
 
   /// Linear decay weight σ_j = 1 - j/(δ+1) (j = 0 inside the window).
   [[nodiscard]] static double weight(int outside_distance, int delta);
@@ -163,7 +165,16 @@ class AccessScheduler {
   [[nodiscard]] double reciprocal_distance(const AccessRecord& rec, Slot s) const;
   void ensure_process(int process);
 
-  /// Fills `inv_d_` with 1/d(rec.sig, group_[s]) over [span_lo, span_hi]
+  /// ORs `sig` into the group signature of slot `s` and refreshes its
+  /// cached popcount.
+  void merge_group(std::size_t s, const Signature& sig);
+
+  /// Signature distance from `sig` to slot `s`'s group, given
+  /// `base` = n + |sig|.
+  [[nodiscard]] int slot_distance(const Signature& sig, int base,
+                                  std::size_t s) const;
+
+  /// Fills `inv_d_` with 1/d(rec.sig, group of s) over [span_lo, span_hi]
   /// and rebuilds `run_end_` (furthest index of the constant run starting
   /// at each slot) over the same span.
   void fill_distance_cache(const AccessRecord& rec, Slot span_lo, Slot span_hi);
@@ -173,13 +184,31 @@ class AccessScheduler {
   [[nodiscard]] double cached_reuse_factor(const AccessRecord& rec,
                                            Slot slot) const;
 
+  /// Sets `reuse` of every collected candidate from the distance cache:
+  /// clipped windows take `cached_reuse_factor`, windows inside one
+  /// constant run of 1/d take the memo, and the rest are summed
+  /// `kLanes` at a time (one accumulator per candidate).
+  void evaluate_candidates(const AccessRecord& rec);
+
+  /// Sums the σ windows of up to `kLanes` interior candidates, named by
+  /// their indices into `candidates_`, side by side.
+  void sum_lanes(const std::size_t* lanes, std::size_t count);
+
   int num_nodes_;
   Slot num_slots_;
   ScheduleOptions opts_;
   Rng rng_;
 
-  /// Per-slot OR of the unit signatures of already-scheduled accesses.
-  std::vector<Signature> group_;
+  /// Words per signature (⌈n/64⌉).
+  std::size_t words_;
+  /// Per-slot OR of the unit signatures of already-scheduled accesses, as
+  /// `words_` flat words per slot ([slot * words_ + word]).
+  std::vector<std::uint64_t> group_words_;
+  /// Popcount of each slot's group signature, kept in step with
+  /// `group_words_`, so d = n + |a| + |g| - 3·|a∧g| needs one popcount per
+  /// slot.
+  std::vector<int> group_pop_;
+
   /// Per-slot, per-node scheduled-access counts (only kept when θ > 0).
   std::vector<std::uint16_t> node_counts_;  // [slot * num_nodes_ + node]
   /// Per-slot mask of nodes whose count has reached θ (only kept when
@@ -190,11 +219,20 @@ class AccessScheduler {
 
   /// σ table: sigma_[j] = weight(j, δ), precomputed once.
   std::vector<double> sigma_;
+  /// Reciprocal table: recip_[d] = 1/d for d in [1, 2n], recip_[0] = 2.
+  std::vector<double> recip_;
+  /// Per-access scratch: σ weight of each position of the current access's
+  /// window [t-δ, t+l-1+δ], so lane sums index one flat array.
+  std::vector<double> window_w_;
   /// Per-access scratch: reciprocal distance to each slot's group signature.
   std::vector<double> inv_d_;
   /// run_end_[s] = largest slot r with inv_d_ constant over [s, r], valid
   /// inside the span of the current access.
   std::vector<Slot> run_end_;
+
+  /// Candidates whose reuse sums run side by side: enough independent
+  /// add chains to hide the FP-add latency.
+  static constexpr std::size_t kLanes = 8;
 
   struct Candidate {
     Slot slot;

@@ -4,17 +4,22 @@
 // same float stats, same group signatures, across every option combination
 // that changes the code path: θ on/off, randomized tie-break on/off,
 // candidate sampling off/aggressive/default, single- and multi-word
-// signatures, mixed access lengths.
+// signatures, mixed access lengths — and on the real slacked traces of
+// three paper applications.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "compiler/slack.h"
 #include "core/scheduler.h"
+#include "driver/experiment.h"
 #include "reference_scheduler.h"
 #include "util/rng.h"
+#include "workload/app.h"
 
 namespace dasched {
 namespace {
@@ -113,6 +118,86 @@ TEST(SchedulerDifferentialTest, MatchesReferenceBitForBit) {
     }
   }
   EXPECT_GE(runs, 40);
+}
+
+/// The slacked read trace a scheme-on compile of `app_name` schedules, at
+/// the ExperimentConfig defaults (Table II storage, max_slack, the app's
+/// length unit).
+CompiledProgram slacked_trace(const std::string& app_name,
+                              WorkloadScale scale) {
+  const ExperimentConfig cfg;
+  const App& app = app_by_name(app_name);
+  StripingMap striping(cfg.storage.num_io_nodes, cfg.storage.stripe_size);
+  CompiledProgram program = app.build(striping, scale);
+  SlackOptions slack = cfg.compile.slack;
+  slack.length_unit = app.length_unit;
+  slack.max_slack = cfg.max_slack;
+  analyze_slacks(program, striping, slack);
+  return program;
+}
+
+// Real traces reach shapes random ones rarely do: slacks wider than
+// max_candidates (strided candidates), σ windows clipped at slot 0 and at
+// the last slot, and θ fallbacks with tied E_t.  The test checks that each shape occurs,
+// so the comparison covers them.
+TEST(SchedulerDifferentialTest, PaperTracesMatchReference) {
+  const ExperimentConfig defaults;
+  ScheduleOptions random_ties;  // θ = 0 with the randomized tie-break
+  random_ties.theta = 0;
+  random_ties.random_tie_break = true;
+  // θ = 1 makes most placements fall back to E_t, where equal minima are
+  // common and the reuse order must break the tie.
+  ScheduleOptions tight = defaults.compile.sched;
+  tight.theta = 1;
+  const ScheduleOptions variants[] = {defaults.compile.sched, random_ties,
+                                      tight};
+  const int nodes = defaults.storage.num_io_nodes;
+
+  bool strided = false;
+  bool clipped_low = false;
+  bool clipped_high = false;
+  std::int64_t fallbacks = 0;
+  for (const char* app : {"sar", "madbench2", "wupwise"}) {
+    const CompiledProgram trace = slacked_trace(app, WorkloadScale{8, 0.05});
+    const Slot slots = std::max<Slot>(trace.num_slots, 1);
+    for (const AccessRecord& rec : trace.reads) {
+      const ScheduleOptions& opts = variants[0];
+      strided |= rec.latest_start() - rec.begin + 1 > opts.max_candidates;
+      clipped_low |= rec.begin - opts.delta < 0;
+      clipped_high |= rec.latest_start() + rec.length - 1 + opts.delta >= slots;
+    }
+    for (const ScheduleOptions& opts : variants) {
+      SCOPED_TRACE(std::string(app) + " theta=" + std::to_string(opts.theta) +
+                   " tie=" + std::to_string(opts.random_tie_break));
+      ReferenceScheduler ref(nodes, slots, opts);
+      AccessScheduler fast(nodes, slots, opts);
+      const auto expected = ref.schedule(trace.reads);
+      std::vector<ScheduledAccess> actual;
+      fast.schedule_into(trace.reads, actual);
+
+      ASSERT_EQ(expected.size(), actual.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(expected[i].rec.id, actual[i].rec.id) << "index " << i;
+        EXPECT_EQ(expected[i].slot, actual[i].slot)
+            << "access #" << expected[i].rec.id;
+        EXPECT_EQ(expected[i].forced, actual[i].forced)
+            << "access #" << expected[i].rec.id;
+      }
+      EXPECT_EQ(ref.stats().forced, fast.stats().forced);
+      EXPECT_EQ(ref.stats().theta_fallbacks, fast.stats().theta_fallbacks);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.stats().mean_advance_slots),
+                std::bit_cast<std::uint64_t>(fast.stats().mean_advance_slots));
+      for (Slot s = 0; s < slots; ++s) {
+        ASSERT_EQ(ref.group_signature(s), fast.group_signature(s))
+            << "group signature diverges at slot " << s;
+      }
+      fallbacks += fast.stats().theta_fallbacks;
+    }
+  }
+  EXPECT_TRUE(strided);
+  EXPECT_TRUE(clipped_low);
+  EXPECT_TRUE(clipped_high);
+  EXPECT_GT(fallbacks, 0);
 }
 
 // reset() + schedule_into() must replay exactly: a reused scheduler is
