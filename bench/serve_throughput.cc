@@ -1,4 +1,4 @@
-// Daemon request-throughput harness (BENCH_serve.json).
+// Daemon request-throughput harness.
 //
 // Starts an in-process ServeServer on an ephemeral loopback port and drives
 // it with 1, 4 and 8 concurrent tenants, each issuing a batch of identical
@@ -7,8 +7,8 @@
 // the timed batch then measures the daemon steady state — frame parse,
 // zero-allocation warm run, result serialization, socket round-trip.
 // Reports the median wall-clock and aggregate requests/second per tenant
-// count, in the shared ThroughputJsonWriter envelope so tooling can diff
-// BENCH_serve.json like the other BENCH_*.json reports.
+// count as JSON on stdout, in the shared ThroughputJsonWriter envelope so
+// tooling can diff it like the BENCH_*.json reports.
 //
 // Results stay bit-identical across tenant counts (each tenant owns its
 // workspace; tests/serve/serve_e2e_test.cc enforces it), so the only thing

@@ -5,17 +5,18 @@
 //   $ ./examples/policy_comparison [app] [scale]
 //   e.g. ./examples/policy_comparison madbench2 0.5
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "driver/experiment.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 using namespace dasched;
 
 int main(int argc, char** argv) {
   const std::string app = argc > 1 ? argv[1] : "sar";
-  const double factor = argc > 2 ? std::atof(argv[2]) : 0.5;
+  const double factor =
+      argc > 2 ? parse_double_or_die("scale", argv[2]) : 0.5;
 
   ExperimentConfig base;
   base.app = app;

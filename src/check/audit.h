@@ -77,12 +77,6 @@ class SimAuditor {
     return ref;
   }
 
-  /// Keeps an auxiliary wiring object (observer fan-out, etc.) alive for the
-  /// auditor's lifetime.
-  void adopt(std::shared_ptr<void> component) {
-    components_.push_back(std::move(component));
-  }
-
   /// Records a violation.  Storage is capped; `violations_total()` keeps the
   /// true count.
   void record(Violation v);
@@ -111,7 +105,6 @@ class SimAuditor {
   static constexpr std::size_t kMaxStoredViolations = 256;
 
   std::vector<std::unique_ptr<InvariantCheck>> checks_;
-  std::vector<std::shared_ptr<void>> components_;
   std::vector<Violation> violations_;
   std::int64_t violations_total_ = 0;
   std::int64_t evaluations_ = 0;

@@ -124,12 +124,6 @@ void EnergyConservationCheck::on_finalized(const Disk& disk) {
   }
 }
 
-Joules EnergyConservationCheck::ledger_total_j() const {
-  Joules total{};
-  for (const auto& [disk, ledger] : ledgers_) total += ledger.expected_j;
-  return total;
-}
-
 std::array<Joules, kNumDiskStates> EnergyConservationCheck::ledger_by_state_j()
     const {
   std::array<Joules, kNumDiskStates> out{};

@@ -46,8 +46,7 @@ class DASCHED_OBSERVER_PASSIVE EnergyConservationCheck final
       const std::array<Joules, kNumDiskStates>& by_state_j, Joules total_j,
       SimTime when);
 
-  /// Sum of all disks' independent ledgers (valid after the run).
-  [[nodiscard]] Joules ledger_total_j() const;
+  /// Per-state sum of all disks' independent ledgers (valid after the run).
   [[nodiscard]] std::array<Joules, kNumDiskStates> ledger_by_state_j() const;
 
  private:

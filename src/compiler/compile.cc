@@ -31,10 +31,7 @@ Compiled finish(CompiledProgram lowered, const StripingMap& striping,
 
 Compiled compile(const LoopProgram& program, int num_processes,
                  const StripingMap& striping, const CompileOptions& opts) {
-  Compiled out =
-      finish(lower(program, num_processes, opts.lowering), striping, opts);
-  out.dependence = screen_dependences(program, num_processes);
-  return out;
+  return finish(lower(program, num_processes, opts.lowering), striping, opts);
 }
 
 Compiled compile_trace(CompiledProgram lowered, const StripingMap& striping,

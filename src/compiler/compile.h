@@ -11,7 +11,6 @@
 // runtime scheduler threads follow.
 #pragma once
 
-#include "compiler/dependence.h"
 #include "compiler/loop_program.h"
 #include "compiler/lower.h"
 #include "compiler/program.h"
@@ -44,9 +43,6 @@ struct Compiled {
   std::vector<ScheduledAccess> scheduled;
   SchedulingTable table;
   ScheduleStats sched_stats;
-  /// Affine path only: statement-pair independence statistics from the
-  /// Omega-lite screen (GCD + Banerjee); zero-initialized on the trace path.
-  DependenceSummary dependence;
 };
 
 /// Affine path: IR -> lowered program -> slacks -> schedule.

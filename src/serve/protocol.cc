@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -157,12 +156,9 @@ double want_f64(std::string_view key, std::string_view v) {
 }
 
 std::uint64_t want_u64(std::string_view key, std::string_view v) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    bad_field(key, "an unsigned integer", v);
-  }
-  return out;
+  const auto parsed = parse_integer<std::uint64_t>(v);
+  if (!parsed) bad_field(key, "an unsigned integer", v);
+  return *parsed;
 }
 
 bool want_bool(std::string_view key, std::string_view v) {

@@ -6,6 +6,7 @@
 
 #include "engine/env_knobs.h"
 #include "telemetry/export.h"
+#include "util/parse.h"
 #include "workload/trace_replay.h"
 
 namespace dasched::serve {
@@ -204,44 +205,34 @@ bool TenantSession::handle_trace_upload(std::string_view payload, Sink& sink) {
                                     "' is not key=value");
     }
     const std::string_view key = line.substr(0, eq);
-    const std::string value(line.substr(eq + 1));
-    const auto as_i64 = [&]() -> std::int64_t {
-      const auto parsed = parse_int(value);
+    const std::string_view value = line.substr(eq + 1);
+    const auto want = [&]<typename T>(std::optional<T> parsed,
+                                      const char* expected) -> T {
       if (!parsed) {
-        throw ConfigError(std::string(key), "trace upload field '" +
-                                                std::string(key) +
-                                                "': expected an integer, "
-                                                "got '" + value + "'");
+        throw ConfigError(std::string(key),
+                          "trace upload field '" + std::string(key) +
+                              "': expected " + expected + ", got '" +
+                              std::string(value) + "'");
       }
       return *parsed;
     };
     if (key == "name") {
       name = value;
     } else if (key == "format") {
-      const auto fmt = parse_trace_format(value);
-      if (!fmt) {
-        throw ConfigError("format",
-                          "trace upload field 'format': expected "
-                          "auto|csv|jsonl|blk, got '" + value + "'");
-      }
-      opts.format = *fmt;
+      opts.format = want(parse_trace_format(value), "auto|csv|jsonl|blk");
     } else if (key == "slot_us") {
-      opts.slot_us = as_i64();
+      opts.slot_us = want(parse_i64(value), "an integer");
     } else if (key == "min_compute_us") {
-      opts.min_compute_us = as_i64();
+      opts.min_compute_us = want(parse_i64(value), "an integer");
     } else if (key == "max_compute_us") {
-      opts.max_compute_us = as_i64();
+      opts.max_compute_us = want(parse_i64(value), "an integer");
     } else if (key == "granularity") {
-      opts.granularity = static_cast<int>(as_i64());
+      opts.granularity = want(parse_integer<int>(value), "a 32-bit integer");
     } else if (key == "seed") {
-      opts.seed = static_cast<std::uint64_t>(as_i64());
+      opts.seed =
+          want(parse_integer<std::uint64_t>(value), "an unsigned integer");
     } else if (key == "jitter") {
-      const auto parsed = parse_double(value);
-      if (!parsed) {
-        throw ConfigError("jitter", "trace upload field 'jitter': expected "
-                                    "a number, got '" + value + "'");
-      }
-      opts.jitter_frac = *parsed;
+      opts.jitter_frac = want(parse_f64(value), "a number");
     } else {
       throw ConfigError(std::string(key), "unknown trace upload field '" +
                                               std::string(key) + "'");

@@ -65,11 +65,6 @@ class JoinPool {
     if (done) done();
   }
 
-  /// Joins currently open (test/debug aid).
-  [[nodiscard]] std::size_t live_count() const {
-    return records_.size() - free_slots_.size();
-  }
-
   /// Restores the fresh-pool state while keeping slot capacity: drops any
   /// joins left open by an interrupted run, bumps every generation so stale
   /// JoinIds captured in cancelled events can never alias a new join, and

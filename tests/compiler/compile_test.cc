@@ -35,6 +35,22 @@ class CompileTest : public ::testing::Test {
     return prog;
   }
 
+  /// Process p reads `count` 64K blocks from its own band; each read slot
+  /// is followed by two compute-only pad slots.
+  Stmt sequential_scan(std::int64_t count, const std::string& var) const {
+    const AE offset = AE::var("p") * (count * kib(64).count()) +
+                      AE::var(var) * kib(64).count();
+    return make_loop(
+        var, 0, AE(count - 1),
+        {make_loop("_s", 0, 0,
+                   {make_read(file_, offset, kib(64).count()),
+                    make_compute(AE(4'000))},
+                   /*slot_loop=*/true),
+         make_loop("_pad", 0, AE(1), {make_compute(AE(2'000))},
+                   /*slot_loop=*/true)},
+        /*slot_loop=*/false);
+  }
+
   StripingMap striping_;
   FileId file_;
 };
@@ -103,36 +119,54 @@ TEST_F(CompileTest, EmptyProgramCompilesCleanly) {
   EXPECT_EQ(c.table.total_entries(), 0);
 }
 
-TEST_F(CompileTest, AffinePathReportsDependenceScreen) {
-  const Compiled c = compile(simple_program(), 2, striping_);
-  // Read-only program: no write/read pairs at all.
-  EXPECT_EQ(c.dependence.pairs, 0);
-
-  LoopProgram rw;
-  rw.body.push_back(make_loop(
-      "i", 0, AE(9),
-      {make_write(file_, AE::var("i") * kib(64).count(), kib(64).count()),
-       make_read(file_, AE(mib(32).count()) + AE::var("i") * kib(64).count(), kib(64).count())}));
-  const Compiled c2 = compile(rw, 2, striping_);
-  EXPECT_GT(c2.dependence.pairs, 0);
-  // Writes in [0, 640K), reads in [32M, 32M+640K): provably independent.
-  EXPECT_DOUBLE_EQ(c2.dependence.pruned_fraction(), 1.0);
-}
-
-TEST_F(CompileTest, TracePathLeavesDependenceSummaryEmpty) {
-  TraceBuilder tb(1);
-  tb.read(0, file_, 0, kib(64).count());
-  tb.end_slot(0);
-  const Compiled c = compile_trace(tb.build(), striping_);
-  EXPECT_EQ(c.dependence.pairs, 0);
-}
-
 TEST_F(CompileTest, WriteOnlyProgramHasNoTableEntries) {
   LoopProgram prog;
   prog.body.push_back(make_loop(
       "i", 0, AE(9), {make_write(file_, AE::var("i") * kib(64).count(), kib(64).count())}));
   const Compiled c = compile(prog, 1, striping_);
   EXPECT_EQ(c.program.reads.size(), 0u);
+}
+
+TEST_F(CompileTest, RepeatedUpdateSweepGivesOneSweepSlacks) {
+  // Three sweeps of an in-place update: read block i, then write it back in
+  // the next slot, then two pad slots.  Read and write sit in separate
+  // slots, so the same-slot race rule does not clamp the read's slack.
+  const AE offset = AE::var("i") * kib(64).count();
+  LoopProgram prog;
+  prog.body.push_back(make_loop(
+      "t", 0, AE(2),
+      {make_loop(
+          "i", 0, AE(5),
+          {make_loop("_r", 0, 0,
+                     {make_read(file_, offset, kib(64).count()),
+                      make_compute(AE(4'000))}),
+           make_loop("_w", 0, 0,
+                     {make_compute(AE(2'000)),
+                      make_write(file_, offset, kib(64).count())}),
+           make_loop("_pad", 0, AE(1), {make_compute(AE(2'000))})},
+          /*slot_loop=*/false)},
+      /*slot_loop=*/false));
+  const Compiled c = compile(prog, 1, striping_);
+  // Reads of sweeps 2 and 3 see the writes of the previous sweep.
+  int bounded = 0;
+  for (const AccessRecord& rec : c.program.reads) {
+    if (rec.writer_process >= 0) {
+      ++bounded;
+      EXPECT_GT(rec.slack_length(), 1);
+    }
+  }
+  EXPECT_EQ(bounded, 12);
+}
+
+TEST_F(CompileTest, ComposedWorkloadCompilesAndSchedules) {
+  // Two scans separated by a 10 s compute-only phase in one slot.
+  LoopProgram prog;
+  prog.body.push_back(sequential_scan(20, "i"));
+  prog.body.push_back(make_loop("_ph", 0, 0, {make_compute(AE(10'000'000))}));
+  prog.body.push_back(sequential_scan(20, "j"));
+  const Compiled c = compile(prog, 4, striping_);
+  EXPECT_EQ(c.program.reads.size(), 4u * 40u);
+  EXPECT_GT(c.sched_stats.mean_advance_slots, 0.0);
 }
 
 }  // namespace

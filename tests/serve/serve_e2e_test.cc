@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,38 @@ TEST(ServeE2E, ReplayUploadThenRunMatchesInProcess) {
   ServeClient::Reply reply;
   client.run(remote, false, reply);
   EXPECT_EQ(wire_bytes(reply.result), want);
+}
+
+TEST(ServeE2E, TraceUploadHeaderRejectsOutOfRangeFields) {
+  // Each field would have been accepted by a wrapping cast or a whitespace-
+  // skipping parser; each must come back as a config error naming it.
+  class LastFrame : public TenantSession::Sink {
+   public:
+    bool write_frame(FrameType t,
+                     std::span<const std::uint8_t> payload) override {
+      type = t;
+      text.assign(reinterpret_cast<const char*>(payload.data()),
+                  payload.size());
+      return true;
+    }
+    FrameType type{};
+    std::string text;
+  };
+  TenantSession session(/*tenant_id=*/1);
+  for (const std::string field :
+       {"granularity=4294967297", "seed=-1", "slot_us= 5"}) {
+    const std::string payload =
+        field + "\n\nts_us,proc,file,offset,bytes,op\n0,0,a.dat,0,4096,R\n";
+    LastFrame sink;
+    ASSERT_TRUE(session.handle(
+        FrameType::kTraceUpload,
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(payload.data()),
+            payload.size()),
+        sink));
+    ASSERT_EQ(sink.type, FrameType::kError) << field;
+    EXPECT_EQ(parse_error(sink.text).field, field.substr(0, field.find('=')));
+  }
 }
 
 TEST(ServeE2E, GridStreamsCellsInDeterministicOrder) {

@@ -95,18 +95,6 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-int int_or_die(const char* s, const char* what) {
-  const auto v = parse_i64(s);
-  if (!v) die_invalid_value(what, s, "an integer");
-  return static_cast<int>(*v);
-}
-
-double num_or_die(const char* s, const char* what) {
-  const auto v = parse_f64(s);
-  if (!v) die_invalid_value(what, s, "a number");
-  return *v;
-}
-
 // dasched_run's single-run CSV schema, byte-for-byte.
 constexpr const char* kCsvHeader =
     "app,policy,scheme,procs,scale,nodes,exec_s,energy_j,spin_downs,"
@@ -182,7 +170,7 @@ int main(int argc, char** argv) {
     if (arg == "--connect") {
       address = value();
     } else if (arg == "--retry") {
-      retry = int_or_die(value(), "--retry");
+      retry = parse_int_or_die("--retry", value());
     } else if (arg == "--ping") {
       do_ping = true;
     } else if (arg == "--shutdown") {
@@ -196,10 +184,11 @@ int main(int argc, char** argv) {
       if (!fmt) die_invalid_value("--replay-format", v, "auto|csv|jsonl|blk");
       replay_opts.format = *fmt;
     } else if (arg == "--replay-slot-us") {
-      replay_opts.slot_us = int_or_die(value(), "--replay-slot-us");
+      replay_opts.slot_us =
+          parse_int_or_die<std::int64_t>("--replay-slot-us", value());
     } else if (arg == "--replay-seed") {
       replay_opts.seed =
-          static_cast<std::uint64_t>(int_or_die(value(), "--replay-seed"));
+          parse_int_or_die<std::uint64_t>("--replay-seed", value());
     } else if (arg == "--app") {
       cfg.app = value();
       do_run = true;
@@ -210,29 +199,31 @@ int main(int argc, char** argv) {
       cfg.use_scheme = true;
       do_run = true;
     } else if (arg == "--procs") {
-      cfg.scale.num_processes = int_or_die(value(), "--procs");
+      cfg.scale.num_processes = parse_int_or_die("--procs", value());
       procs_set = true;
       do_run = true;
     } else if (arg == "--scale") {
-      cfg.scale.factor = num_or_die(value(), "--scale");
+      cfg.scale.factor = parse_double_or_die("--scale", value());
       do_run = true;
     } else if (arg == "--nodes") {
-      cfg.storage.num_io_nodes = int_or_die(value(), "--nodes");
+      cfg.storage.num_io_nodes = parse_int_or_die("--nodes", value());
       do_run = true;
     } else if (arg == "--delta") {
-      cfg.compile.sched.delta = int_or_die(value(), "--delta");
+      cfg.compile.sched.delta = parse_int_or_die("--delta", value());
       do_run = true;
     } else if (arg == "--theta") {
-      cfg.compile.sched.theta = int_or_die(value(), "--theta");
+      cfg.compile.sched.theta = parse_int_or_die("--theta", value());
       do_run = true;
     } else if (arg == "--buffer") {
-      cfg.runtime.buffer_capacity = mib(int_or_die(value(), "--buffer"));
+      cfg.runtime.buffer_capacity =
+          mib(parse_int_or_die("--buffer", value()));
       do_run = true;
     } else if (arg == "--cache") {
-      cfg.storage.node.cache_capacity = mib(int_or_die(value(), "--cache"));
+      cfg.storage.node.cache_capacity =
+          mib(parse_int_or_die("--cache", value()));
       do_run = true;
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(int_or_die(value(), "--seed"));
+      cfg.seed = parse_int_or_die<std::uint64_t>("--seed", value());
       do_run = true;
     } else if (arg == "--audit") {
       audit = true;
@@ -287,7 +278,7 @@ int main(int argc, char** argv) {
       }
       std::vector<double> values;
       for (const std::string& s : split_list(v.substr(eq + 1))) {
-        values.push_back(num_or_die(s.c_str(), "--sweep"));
+        values.push_back(parse_double_or_die("--sweep", s.c_str()));
       }
       try {
         grid_sweep = sweep_axis_by_name(v.substr(0, eq), std::move(values));

@@ -32,6 +32,7 @@
 #include "engine/grid_runner.h"
 #include "engine/result_sink.h"
 #include "telemetry/analytics.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "workload/trace_replay.h"
 
@@ -125,24 +126,6 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-double parse_number_or_die(const std::string& s, const char* what) {
-  const auto v = parse_double(s);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid number '%s'\n", what, s.c_str());
-    std::exit(2);
-  }
-  return *v;
-}
-
-int parse_int_or_die(const std::string& s, const char* what) {
-  const auto v = parse_int(s);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid integer '%s'\n", what, s.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(*v);
-}
-
 constexpr const char* kCsvHeader =
     "app,policy,scheme,procs,scale,nodes,exec_s,energy_j,spin_downs,"
     "spin_ups,rpm_changes,cache_hit_rate,prefetches,buffer_hits,"
@@ -214,24 +197,24 @@ int main(int argc, char** argv) {
     } else if (arg == "--scheme") {
       cfg.use_scheme = true;
     } else if (arg == "--procs") {
-      cfg.scale.num_processes = parse_int_or_die(value(), "--procs");
+      cfg.scale.num_processes = parse_int_or_die("--procs", value());
       procs_set = true;
     } else if (arg == "--scale") {
-      cfg.scale.factor = parse_number_or_die(value(), "--scale");
+      cfg.scale.factor = parse_double_or_die("--scale", value());
     } else if (arg == "--nodes") {
-      cfg.storage.num_io_nodes = parse_int_or_die(value(), "--nodes");
+      cfg.storage.num_io_nodes = parse_int_or_die("--nodes", value());
     } else if (arg == "--delta") {
-      cfg.compile.sched.delta = parse_int_or_die(value(), "--delta");
+      cfg.compile.sched.delta = parse_int_or_die("--delta", value());
     } else if (arg == "--theta") {
-      cfg.compile.sched.theta = parse_int_or_die(value(), "--theta");
+      cfg.compile.sched.theta = parse_int_or_die("--theta", value());
     } else if (arg == "--buffer") {
-      cfg.runtime.buffer_capacity = mib(parse_int_or_die(value(), "--buffer"));
+      cfg.runtime.buffer_capacity =
+          mib(parse_int_or_die("--buffer", value()));
     } else if (arg == "--cache") {
       cfg.storage.node.cache_capacity =
-          mib(parse_int_or_die(value(), "--cache"));
+          mib(parse_int_or_die("--cache", value()));
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(
-          parse_int_or_die(value(), "--seed"));
+      cfg.seed = parse_int_or_die<std::uint64_t>("--seed", value());
     } else if (arg == "--audit") {
       audit = true;
     } else if (arg == "--csv") {
@@ -252,10 +235,11 @@ int main(int argc, char** argv) {
       }
       replay_opts.format = *fmt;
     } else if (arg == "--replay-slot-us") {
-      replay_opts.slot_us = parse_int_or_die(value(), "--replay-slot-us");
+      replay_opts.slot_us =
+          parse_int_or_die<std::int64_t>("--replay-slot-us", value());
     } else if (arg == "--replay-seed") {
-      replay_opts.seed = static_cast<std::uint64_t>(
-          parse_int_or_die(value(), "--replay-seed"));
+      replay_opts.seed =
+          parse_int_or_die<std::uint64_t>("--replay-seed", value());
     } else if (arg == "--grid") {
       grid_mode = true;
     } else if (arg == "--apps") {
@@ -288,7 +272,7 @@ int main(int argc, char** argv) {
       }
       std::vector<double> values;
       for (const std::string& s : split_list(v.substr(eq + 1))) {
-        values.push_back(parse_number_or_die(s, "--sweep"));
+        values.push_back(parse_double_or_die("--sweep", s.c_str()));
       }
       try {
         grid_sweep = sweep_axis_by_name(v.substr(0, eq), std::move(values));
@@ -297,7 +281,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--threads") {
-      grid_threads = parse_int_or_die(value(), "--threads");
+      grid_threads = parse_int_or_die("--threads", value());
     } else if (arg == "--workspace") {
       const std::string v = value();
       if (v == "on") {

@@ -55,13 +55,9 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       opts.address = value();
     } else if (arg == "--tenants") {
-      const auto v = parse_i64(value());
-      if (!v || *v < 1) die_invalid_value("--tenants", argv[i], "an integer >= 1");
-      opts.max_tenants = static_cast<int>(*v);
+      opts.max_tenants = parse_int_or_die("--tenants", value(), 1);
     } else if (arg == "--timeout-ms") {
-      const auto v = parse_i64(value());
-      if (!v || *v < 0) die_invalid_value("--timeout-ms", argv[i], "an integer >= 0");
-      opts.request_timeout_ms = static_cast<int>(*v);
+      opts.request_timeout_ms = parse_int_or_die("--timeout-ms", value(), 0);
     } else if (arg == "--verbose") {
       opts.verbose = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -72,13 +72,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--procs" && i + 1 < argc) {
-      const auto v = dasched::parse_i64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--procs", argv[i], "an integer");
-      procs = static_cast<int>(*v);
+      procs = dasched::parse_int_or_die("--procs", argv[++i]);
     } else if (arg == "--scale" && i + 1 < argc) {
-      const auto v = dasched::parse_f64(argv[++i]);
-      if (!v) dasched::die_invalid_value("--scale", argv[i], "a number");
-      scale = *v;
+      scale = dasched::parse_double_or_die("--scale", argv[++i]);
     } else if (arg == "--workspace") {
       use_workspace = true;
     } else {

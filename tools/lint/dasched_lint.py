@@ -40,6 +40,8 @@ Rules
   nondet-ptr-sort-key  std::sort / std::stable_sort over pointer keys
   observer-nonconst    observer method calls a non-const method of sim state
   observer-const-cast  const_cast in an observer implementation file
+  stale-sim-state-class  a SIM_STATE_CLASSES entry names no class declared
+                       under <root>/src, so observer-nonconst cannot cover it
   trace-pod            TraceEvent layout probe failed (size/POD-ness)
 
 Exit status: 0 when every finding is baselined or suppressed, 1 otherwise.
@@ -70,6 +72,7 @@ ALL_RULES = (
     "nondet-ptr-sort-key",
     "observer-nonconst",
     "observer-const-cast",
+    "stale-sim-state-class",
     "trace-pod",
 )
 
@@ -115,7 +118,9 @@ PTR_SORT_RE = re.compile(r"std::(?:stable_)?sort<")
 
 # Simulation-state classes observers receive (directly or transitively).
 # Callbacks hand these out as const&; the rule catches mutation smuggled in
-# through stored non-const pointers or const_cast.
+# through stored non-const pointers or const_cast.  Each entry must name a
+# class declared under src/ (rule stale-sim-state-class), so a rename cannot
+# silently drop a class from the rule.
 SIM_STATE_CLASSES = {
     "Disk",
     "Simulator",
@@ -125,10 +130,11 @@ SIM_STATE_CLASSES = {
     "AccessScheduler",
     "Cluster",
     "ElevatorQueue",
-    "GlobalBufferManager",
-    "MpiIo",
+    "GlobalBuffer",
     "PowerPolicy",
 }
+
+LINT_RELPATH = "tools/lint/dasched_lint.py"
 
 SUPPRESS_RE = re.compile(r"//\s*dasched-lint:\s*allow\(([a-z0-9-]+)\)")
 
@@ -710,6 +716,29 @@ def check_trace_pod(gxx, include_dirs, header, type_name, relpath):
 # --------------------------------------------------------------------------
 
 
+def check_sim_state_classes(model, src_root):
+    """One finding per SIM_STATE_CLASSES entry with no declaration in src/."""
+    with open(__file__) as f:
+        entry_lines = {
+            line.strip().rstrip(","): lineno
+            for lineno, line in enumerate(f.read().splitlines(), 1)
+        }
+    findings = []
+    for cls in sorted(SIM_STATE_CLASSES):
+        path = model.class_files.get(cls, "")
+        if not path.startswith(src_root + os.sep):
+            findings.append(
+                Finding(
+                    "stale-sim-state-class", LINT_RELPATH,
+                    entry_lines.get(f'"{cls}"', 0), cls,
+                    f"SIM_STATE_CLASSES lists '{cls}', but no class of that "
+                    "name is declared under src/; observer-nonconst does "
+                    "not cover it",
+                )
+            )
+    return findings
+
+
 def load_baseline(path):
     keys = set()
     if path and os.path.exists(path):
@@ -834,6 +863,8 @@ def main(argv=None):
                         "(observers must stay passive)",
                     )
                 )
+
+    findings.extend(check_sim_state_classes(model, src_root))
 
     if not args.no_pod_check:
         include_dirs = [src_root]

@@ -160,9 +160,7 @@ int main(int argc, char** argv) {
       summary = true;
     } else if (arg == "--head") {
       if (i + 1 >= argc) usage(argv[0], 2);
-      const auto v = parse_i64(argv[++i]);
-      if (!v) die_invalid_value("--head", argv[i], "integer");
-      head = *v;
+      head = parse_int_or_die<long long>("--head", argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else if (!arg.empty() && arg[0] == '-') {
