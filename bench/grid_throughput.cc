@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "engine/env_knobs.h"
 #include "engine/experiment_grid.h"
 #include "engine/grid_runner.h"
 

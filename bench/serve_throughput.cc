@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "engine/env_knobs.h"
 #include "serve/client.h"
 #include "serve/server.h"
 

@@ -33,6 +33,11 @@ void validate_experiment_topology(const ExperimentConfig& cfg) {
                       "experiment: num_io_nodes must be >= 1, got " +
                           std::to_string(cfg.storage.num_io_nodes));
   }
+  if (!(cfg.scale.factor > 0.0)) {  // also rejects NaN
+    throw ConfigError("scale.factor",
+                      "experiment: scale factor must be > 0, got " +
+                          std::to_string(cfg.scale.factor));
+  }
   if (cfg.shards != 0) {
     throw ConfigError("shards",
                       "experiment: shards must be 0 (there is one serial "

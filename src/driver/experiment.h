@@ -1,10 +1,10 @@
 // End-to-end experiment runner.
 //
 // One experiment = one application × one power policy × scheme on/off,
-// executed on a freshly built simulator + storage system.  Every bench
-// binary (and the integration tests) goes through `run_experiment`, so the
-// paper's pipeline — workload, compile, simulate, measure — lives in exactly
-// one place.
+// executed on a freshly built simulator + storage system.  Every run path
+// (tools, grid workers, the daemon, the integration tests) goes through
+// `run_experiment` or its workspace form, so the paper's pipeline —
+// workload, compile, simulate, measure — lives in exactly one place.
 #pragma once
 
 #include <cstdint>
@@ -118,9 +118,10 @@ struct ExperimentResult {
 
 /// Validates the run topology: process/node counts must be positive (any
 /// size is accepted — the paper's 8-node/32-client evaluation cap is a
-/// default, not a limit), and `shards` must be 0.  Throws ConfigError (a
-/// std::invalid_argument carrying the offending field name) with a specific
-/// message otherwise.  Called by run_experiment;
+/// default, not a limit), the scale factor must be > 0 (a smaller one would
+/// silently clamp every loop to its minimum), and `shards` must be 0.
+/// Throws ConfigError (a std::invalid_argument carrying the offending field
+/// name) with a specific message otherwise.  Called by run_experiment;
 /// exposed for tools, the daemon, and tests.
 void validate_experiment_topology(const ExperimentConfig& cfg);
 

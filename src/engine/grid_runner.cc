@@ -81,7 +81,11 @@ ExperimentResult run_cell(const GridCell& cell, const GridRunOptions& opts,
 
 GridResultSet run_grid(const ExperimentGrid& grid,
                        const GridRunOptions& opts) {
-  const std::vector<GridCell> cells = grid.cells();
+  return run_cells(grid.cells(), opts);
+}
+
+GridResultSet run_cells(const std::vector<GridCell>& cells,
+                        const GridRunOptions& opts) {
   std::vector<GridCellResult> results(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) results[i].cell = cells[i];
 

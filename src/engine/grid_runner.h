@@ -53,7 +53,7 @@ struct GridCellResult {
 };
 
 /// Results of one grid run, in cell-enumeration order, with lookups keyed
-/// the way bench tables read them.
+/// the way claim predicates read them.
 class GridResultSet {
  public:
   GridResultSet() = default;
@@ -99,5 +99,11 @@ class GridResultSet {
 /// drains; remaining unstarted cells are abandoned.
 [[nodiscard]] GridResultSet run_grid(const ExperimentGrid& grid,
                                      const GridRunOptions& opts = {});
+
+/// Executes an explicit cell list, e.g. the deduplicated union of several
+/// grids; `run_grid(grid)` is `run_cells(grid.cells())`.  Same threading,
+/// workspace and error contract; rows come back in the order of `cells`.
+[[nodiscard]] GridResultSet run_cells(const std::vector<GridCell>& cells,
+                                      const GridRunOptions& opts = {});
 
 }  // namespace dasched

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "engine/env_knobs.h"
 #include "telemetry/analytics.h"
 
 namespace dasched {
@@ -227,11 +226,6 @@ void write_telemetry_files(const GridResultSet& results,
                            const std::string& jsonl_path) {
   write_encoding(results, csv_path, &write_telemetry_csv);
   write_encoding(results, jsonl_path, &write_telemetry_jsonl);
-}
-
-void emit_env_sinks(const GridResultSet& results) {
-  write_result_files(results, env_string("DASCHED_BENCH_CSV", ""),
-                     env_string("DASCHED_BENCH_JSONL", ""));
 }
 
 }  // namespace dasched

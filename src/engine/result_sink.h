@@ -1,10 +1,8 @@
-// Structured result emission shared by every bench binary and tool.
+// Structured result emission for grid runs (`dasched_run --grid`, the
+// daemon client).
 //
 // One schema, two encodings: a CSV table (spreadsheet-friendly) and JSON
 // lines (one object per grid cell — the `BENCH_*.json` trajectory format).
-// Benches emit mechanically via `emit_env_sinks`, which honours the
-// DASCHED_BENCH_CSV / DASCHED_BENCH_JSONL environment knobs, so every
-// figure reproduction can feed plotting scripts without bespoke printers.
 #pragma once
 
 #include <iosfwd>
@@ -29,11 +27,6 @@ void write_jsonl(std::ostream& os, const GridResultSet& results);
 void write_result_files(const GridResultSet& results,
                         const std::string& csv_path,
                         const std::string& jsonl_path);
-
-/// Bench-binary hook: writes to $DASCHED_BENCH_CSV / $DASCHED_BENCH_JSONL
-/// when set (appending per binary would interleave schemas, so each binary
-/// should be pointed at its own file).  No-op when neither is set.
-void emit_env_sinks(const GridResultSet& results);
 
 // ---- Telemetry aggregates -------------------------------------------------
 //

@@ -1,7 +1,5 @@
-// Plain-text table rendering for benchmark/report output.
-//
-// Every bench binary prints its figure/table as an aligned ASCII table so the
-// paper's rows and series can be compared at a glance.
+// Plain-text table rendering for report output (dasched_run's single-run
+// report and grid table).
 #pragma once
 
 #include <string>

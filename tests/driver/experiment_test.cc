@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dasched {
 namespace {
 
@@ -116,6 +118,21 @@ TEST(Experiment, HelpersComputeRatios) {
   r.exec_time = sec(110.0);
   EXPECT_DOUBLE_EQ(normalized_energy(r, base), 0.75);
   EXPECT_NEAR(degradation(r, base), 0.10, 1e-12);
+}
+
+TEST(Experiment, NonPositiveScaleIsRejected) {
+  for (const double factor :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig cfg = tiny("sar");
+    cfg.scale.factor = factor;
+    try {
+      validate_experiment_topology(cfg);
+      ADD_FAILURE() << "scale factor " << factor << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), "scale.factor");
+    }
+    EXPECT_THROW((void)run_experiment(cfg), ConfigError);
+  }
 }
 
 TEST(Experiment, UnknownAppThrows) {

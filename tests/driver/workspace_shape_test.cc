@@ -15,6 +15,9 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+
+#include <unistd.h>
 
 #include "driver/workspace.h"
 #include "engine/grid_runner.h"
@@ -99,7 +102,8 @@ TEST(WorkspaceShape, InvalidTopologyRejectedWithoutPoisoning) {
 
 TEST(WorkspaceShape, MidRunThrowPoisonsThenRecovers) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "dasched_ws_poison_test";
+      std::filesystem::temp_directory_path() /
+      ("dasched_ws_poison_test_" + std::to_string(getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   // A regular file where the telemetry path wants a directory: the run

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "check/audit.h"
 #include "driver/experiment.h"
 #include "engine/grid_runner.h"
@@ -139,7 +141,8 @@ TEST(TelemetryRun, ResidencyTilesEveryDiskTimeline) {
 
 TEST(TelemetryRun, ArtifactsRoundTripAndChromeJsonIsValid) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "dasched_telemetry_run_test")
+      (std::filesystem::temp_directory_path() /
+       ("dasched_telemetry_run_test_" + std::to_string(getpid())))
           .string();
   std::filesystem::remove_all(dir);
 

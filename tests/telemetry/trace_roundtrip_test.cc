@@ -10,20 +10,28 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "telemetry/events.h"
 #include "telemetry/recorder.h"
 
 namespace dasched {
 namespace {
 
-std::string temp_path(const char* name) {
+std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
 class TraceRoundtrip : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = temp_path("dasched_trace_roundtrip_test.bin");
+  // One file per case and process: ctest runs each case as its own
+  // process, in parallel under -j, and a shared name lets one case's
+  // TearDown remove or rewrite another's file between save and load.
+  std::string path_ = temp_path(
+      std::string("dasched_trace_roundtrip_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(getpid()) + ".bin");
 };
 
 TEST_F(TraceRoundtrip, PreservesMetaAndEveryEvent) {

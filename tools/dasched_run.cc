@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -160,9 +161,7 @@ int run_grid_mode(ExperimentGrid grid, const GridRunOptions& opts,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.app = "sar";
   cfg.telemetry = telemetry_from_env();  // CLI flags below override
@@ -319,6 +318,7 @@ int main(int argc, char** argv) {
       out_telemetry_jsonl = value();
     } else if (arg == "--dump-trace") {
       const std::string path = value();
+      validate_experiment_topology(cfg);
       StripingMap striping(cfg.storage.num_io_nodes, cfg.storage.stripe_size);
       const CompiledProgram trace =
           app_by_name(cfg.app).build(striping, cfg.scale);
@@ -400,9 +400,13 @@ int main(int argc, char** argv) {
         out_telemetry_jsonl = opts.telemetry.dir + "/telemetry.jsonl";
       }
     }
+    validate_experiment_topology(grid.base);
+    for (const std::string& app : grid.apps) (void)app_by_name(app);
     try {
       return run_grid_mode(std::move(grid), opts, out_csv, out_jsonl,
                            out_telemetry_csv, out_telemetry_jsonl);
+    } catch (const ConfigError&) {
+      throw;  // a sweep value the experiment rejects
     } catch (const std::exception& e) {
       std::fprintf(stderr, "grid run failed: %s\n", e.what());
       return 1;
@@ -499,4 +503,22 @@ int main(int argc, char** argv) {
                 cfg.telemetry.dir.c_str());
   }
   return audit && !auditor.clean() ? 1 : 0;
+}
+
+}  // namespace
+
+// A config the experiment rejects exits 2 and names the offending field, as
+// a malformed flag does; the daemon answers the same errors with a `config`
+// error frame.
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "dasched_run: %s: %s\n", e.field().c_str(),
+                 e.what());
+    return 2;
+  } catch (const std::out_of_range& e) {  // app_by_name: unknown --app
+    std::fprintf(stderr, "dasched_run: app: %s\n", e.what());
+    return 2;
+  }
 }

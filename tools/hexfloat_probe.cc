@@ -84,5 +84,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return dasched::run_probe(procs, scale, use_workspace);
+  // Config errors exit 2 and name the field, as in dasched_run.
+  try {
+    return dasched::run_probe(procs, scale, use_workspace);
+  } catch (const dasched::ConfigError& e) {
+    std::fprintf(stderr, "hexfloat_probe: %s: %s\n", e.field().c_str(),
+                 e.what());
+    return 2;
+  }
 }
